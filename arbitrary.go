@@ -23,8 +23,9 @@ type ArbitraryConfig struct {
 	// Seed keys the streams (fixed development default; pass fresh
 	// randomness in production, as with Pool).
 	Seed []byte
-	// PRNG selects the generator: "chacha20" (default), "shake256",
-	// "aes-ctr".
+	// PRNG selects the generator: "chacha20", "shake256" or "aes-ctr".
+	// Empty means prng.Serving(), as for pools: "aes-ctr" where
+	// crypto/aes runs on AES instructions, "chacha20" otherwise.
 	PRNG string
 	// Workers bounds the build parallelism of a cold base-set
 	// compilation (0 = all CPUs).

@@ -9,6 +9,7 @@
 //	ctgaussd                                  # σ=2, falcon-512, :8754
 //	ctgaussd -sigmas 2,6.15543 -shards 8
 //	ctgaussd -seed random                     # non-reproducible production seeds
+//	ctgaussd -prng chacha20                   # pin the generator (default: aes-ctr on AES-NI, else chacha20)
 //	ctgaussd -cache /var/cache/ctgauss        # persist circuits across restarts
 //	ctgaussd -prefetch 4                      # deeper refill lookahead per shard
 //	ctgaussd -prefetch sync                   # inline refills (pre-engine behaviour)
@@ -28,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -46,6 +48,7 @@ import (
 	"ctgauss/falcon"
 	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/obs"
+	"ctgauss/internal/prng"
 	"ctgauss/internal/server"
 )
 
@@ -54,7 +57,7 @@ func main() {
 	sigmas := flag.String("sigmas", "2", "comma-separated σ values to serve (first is the default)")
 	shards := flag.Int("shards", 0, "sampling pool shards per σ (0 = NumCPU)")
 	seed := flag.String("seed", "", "master seed: hex, 'random' for fresh entropy, empty for the fixed dev seed")
-	prng := flag.String("prng", "chacha20", "pool PRNG: chacha20, shake256, aes-ctr")
+	prngName := flag.String("prng", "", "sampling PRNG for σ pools, the arbitrary layer and tier pools: chacha20, shake256, aes-ctr; empty picks aes-ctr when Go's crypto/aes runs on AES instructions (AES-NI, SSE4.1, SSSE3, none turned off by GODEBUG) and chacha20 otherwise, since software AES is not constant time")
 	prefetch := flag.String("prefetch", "", "refill lookahead per pool shard: a depth (e.g. 4), 'sync' for inline refills, or per-σ overrides '2=4,6.15543=sync' (empty = double buffering)")
 	arbitrary := flag.Bool("arbitrary", true, "serve free-form (σ, μ) at /v1/arbitrary and free-form σ at /v1/samples")
 	arbBases := flag.String("arbitrary-bases", "", "comma-separated base-set σ values for the convolution layer (default 2,6.15543)")
@@ -135,7 +138,7 @@ func main() {
 		Sigmas:           splitList(*sigmas),
 		PoolShards:       *shards,
 		Seed:             masterSeed,
-		PRNG:             *prng,
+		PRNG:             *prngName,
 		Prefetch:         prefetchGlobal,
 		PrefetchBySigma:  prefetchBySigma,
 		FalconN:          *falconN,
@@ -164,7 +167,8 @@ func main() {
 		"build_time", time.Since(buildStart).Round(time.Millisecond).String(),
 		"sigmas", *sigmas, "falcon_n", *falconN,
 		"version", b.Version, "go_version", b.GoVersion,
-		"simd", dispatch.Active().String(), "simd_width", dispatch.Active().NativeWidth())
+		"simd", dispatch.Active().String(), "simd_width", dispatch.Active().NativeWidth(),
+		"prng", cmp.Or(*prngName, prng.Serving()))
 	if msg := dispatch.Snapshot().OverrideError; msg != "" {
 		logger.Warn("simd override not honored", "detail", msg)
 	}

@@ -56,11 +56,15 @@ type Config struct {
 	TailCut float64
 	// Minimizer defaults to MinimizeExact.
 	Minimizer Minimizer
-	// Seed keys the internal ChaCha20 PRNG (default: fixed test seed; pass
-	// fresh randomness for production use).
+	// Seed keys the PRNG (default: fixed test seed; pass fresh
+	// randomness for production use).  ChaCha20 and AES-CTR take at
+	// most 32 bytes.
 	Seed []byte
-	// PRNG selects the generator: "chacha20" (default), "shake256",
-	// "aes-ctr".
+	// PRNG selects the generator: "chacha20", "shake256" or "aes-ctr".
+	// Empty means "chacha20" for New and NewWithConfig, whose example
+	// streams must match on every machine, and prng.Serving() for
+	// pools: "aes-ctr" where crypto/aes runs on AES instructions (and
+	// is therefore constant time), "chacha20" otherwise.
 	PRNG string
 	// Workers bounds the goroutines used by the build-time Boolean
 	// minimization (0 = all CPUs, 1 = serial).  It affects build speed

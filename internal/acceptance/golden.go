@@ -81,16 +81,21 @@ func GoldenCases() []GoldenCase {
 			})
 		}
 	}
-	for _, sig := range gen.Sigmas() {
-		cases = append(cases, GoldenCase{
-			Name:      "compiled/chacha20/" + sig,
-			Kind:      "compiled",
-			Sigma:     sig,
-			Precision: 128,
-			PRNG:      "chacha20",
-			Width:     1,
-			Count:     goldenCount,
-		})
+	// AES-CTR is what ctgauss.NewPool serves where crypto/aes runs on
+	// AES instructions (prng.Serving), so its compiled streams are
+	// pinned too.
+	for _, prngName := range []string{"chacha20", "aes-ctr"} {
+		for _, sig := range gen.Sigmas() {
+			cases = append(cases, GoldenCase{
+				Name:      "compiled/" + prngName + "/" + sig,
+				Kind:      "compiled",
+				Sigma:     sig,
+				Precision: 128,
+				PRNG:      prngName,
+				Width:     1,
+				Count:     goldenCount,
+			})
+		}
 	}
 	return cases
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"ctgauss"
+	"ctgauss/internal/prng"
 	"ctgauss/internal/sampler/gen"
 	"ctgauss/internal/server"
 	"ctgauss/internal/tier"
@@ -27,7 +28,9 @@ type GridOptions struct {
 	Gates Gates
 	// Prec is the bigfp reference precision in bits (default 160).
 	Prec uint
-	// PRNG selects the sampler backend ("chacha20" default).
+	// PRNG selects the sampler backend (default prng.Serving(), the
+	// generator the serving surfaces resolve to, so the grid sweeps what
+	// is actually served).
 	PRNG string
 	// Workers bounds circuit-build parallelism (0 = all CPUs).
 	Workers int
@@ -48,7 +51,7 @@ func (o GridOptions) normalize() GridOptions {
 		o.Prec = 160
 	}
 	if o.PRNG == "" {
-		o.PRNG = "chacha20"
+		o.PRNG = prng.Serving()
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}

@@ -50,3 +50,14 @@ func probe() []Backend {
 	}
 	return out
 }
+
+// HasAES reports whether the CPU has the instructions Go's crypto/aes
+// assembly requires on amd64: AES-NI, SSE4.1 and SSSE3 (CPUID leaf 1,
+// ECX bits 25, 19 and 9), the test crypto/internal/fips140/aes makes.
+// It reads the hardware only; honouring GODEBUG's cpu.* switches is the
+// caller's job (see prng.Serving).
+func HasAES() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const want = 1<<25 | 1<<19 | 1<<9
+	return ecx1&want == want
+}

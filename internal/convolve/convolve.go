@@ -89,8 +89,9 @@ type Config struct {
 	// Seed keys the shard streams (fixed development default; production
 	// must pass fresh randomness).
 	Seed []byte
-	// PRNG selects the generator: "chacha20" (default), "shake256",
-	// "aes-ctr".
+	// PRNG selects the generator: "chacha20", "shake256" or "aes-ctr".
+	// Empty means prng.Serving(): "aes-ctr" where crypto/aes runs on
+	// AES instructions, "chacha20" otherwise.
 	PRNG string
 	// Workers bounds the build parallelism of a cold base-set
 	// compilation (0 = all CPUs); it never changes the artifacts.
@@ -122,7 +123,7 @@ func (c Config) normalize() Config {
 		c.Seed = []byte("ctgauss-convolve-seed")
 	}
 	if c.PRNG == "" {
-		c.PRNG = "chacha20"
+		c.PRNG = prng.Serving()
 	}
 	if c.MinSigma == 0 {
 		c.MinSigma = DefaultMinSigma

@@ -144,10 +144,13 @@ func NewSignerWithKind(sk *PrivateKey, kind BaseSamplerKind, seed []byte) (*Sign
 		// circuit alone is the whole base set (every plan is the
 		// single-draw leaf); one shard, because a Signer is
 		// single-threaded and SignerPool builds one sampler per shard.
+		// Signing stays on ChaCha20, the Falcon reference PRNG, rather
+		// than the serving default.
 		conv, err := convolve.New(convolve.Config{
 			Bases:  []string{"2"},
 			Shards: 1,
 			Seed:   seed,
+			PRNG:   "chacha20",
 		})
 		if err != nil {
 			return nil, err

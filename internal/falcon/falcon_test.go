@@ -2,6 +2,8 @@ package falcon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -306,6 +308,28 @@ func TestHashToPointRangeAndDeterminism(t *testing.T) {
 	}
 	if same > 20 {
 		t.Fatalf("different salts agree on %d of 512 coefficients", same)
+	}
+}
+
+// TestHashToPointPinned pins HashToPoint's output at every ring degree:
+// SHA-256 over the coefficients as big-endian 16-bit words.  The digests
+// come from an independent implementation that squeezed two bytes at a
+// time from a hand-written sponge, so they check that block-wise
+// squeezing consumes the same bytes in the same order.
+func TestHashToPointPinned(t *testing.T) {
+	want := map[int]string{
+		256:  "4f0fb47e20530616c83e26411ddc6c1fe51ea3255b6d22958d8c07977c3d32b6",
+		512:  "5a216d91cbcff80277b230d37897f3f1200c7514efb1120191948daa30fbe052",
+		1024: "971c67580025ec7147a41868acfdcdcc60d4798a9fe5eb4ce05ce8fbde2522cd",
+	}
+	for n, digest := range want {
+		h := sha256.New()
+		for _, c := range hashToPoint([]byte("salt"), []byte("message"), n) {
+			h.Write([]byte{byte(c >> 8), byte(c)})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("n=%d: hashToPoint digest %s, want %s", n, got, digest)
+		}
 	}
 }
 

@@ -1,9 +1,15 @@
 // Package prng provides the pseudorandom generators the paper's
 // experiments use: ChaCha20 (the Falcon reference PRNG and the one used in
 // Table 1), SHAKE256/Keccak (the generator whose cost dominates in [21]'s
-// measurements, §7), and AES-CTR (the platform-specific alternative the
-// conclusion mentions).  All are deterministic from a seed so experiments
-// are reproducible, and all implement the Source interface.
+// measurements, §7; here the standard library's crypto/sha3), and
+// AES-CTR (the platform-specific alternative the conclusion mentions).
+// All are deterministic from a seed so experiments are reproducible, and
+// all implement the Source interface.
+//
+// Serving picks the generator behind the serving surfaces: hardware
+// AES-CTR where crypto/aes runs on AES instructions, ChaCha20 elsewhere.
+// BitReader turns a Source into the bit, byte and word draws the
+// samplers consume.
 package prng
 
 import (

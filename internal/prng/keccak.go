@@ -1,75 +1,15 @@
 package prng
 
-import "encoding/binary"
-
-// keccakF1600 is the Keccak-f[1600] permutation.
-func keccakF1600(a *[25]uint64) {
-	var rc = [24]uint64{
-		0x0000000000000001, 0x0000000000008082, 0x800000000000808a,
-		0x8000000080008000, 0x000000000000808b, 0x0000000080000001,
-		0x8000000080008081, 0x8000000000008009, 0x000000000000008a,
-		0x0000000000000088, 0x0000000080008009, 0x000000008000000a,
-		0x000000008000808b, 0x800000000000008b, 0x8000000000008089,
-		0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-		0x000000000000800a, 0x800000008000000a, 0x8000000080008081,
-		0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-	}
-	for round := 0; round < 24; round++ {
-		// θ
-		var c [5]uint64
-		for x := 0; x < 5; x++ {
-			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
-		}
-		for x := 0; x < 5; x++ {
-			d := c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
-			for y := 0; y < 5; y++ {
-				a[x+5*y] ^= d
-			}
-		}
-		// ρ and π
-		var b [25]uint64
-		b[0] = a[0]
-		x, y := 1, 0
-		t := a[1]
-		for i := 0; i < 24; i++ {
-			nx := y
-			ny := (2*x + 3*y) % 5
-			r := ((i + 1) * (i + 2) / 2) % 64
-			idx := nx + 5*ny
-			next := a[idx]
-			b[idx] = rotl(t, uint(r))
-			t = next
-			x, y = nx, ny
-		}
-		// χ
-		for y := 0; y < 5; y++ {
-			var row [5]uint64
-			for x := 0; x < 5; x++ {
-				row[x] = b[x+5*y]
-			}
-			for x := 0; x < 5; x++ {
-				a[x+5*y] = row[x] ^ (^row[(x+1)%5] & row[(x+2)%5])
-			}
-		}
-		// ι
-		a[0] ^= rc[round]
-	}
-}
-
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
+import "crypto/sha3"
 
 // SHAKE256 is the FIPS 202 extendable-output function in streaming mode,
-// usable both as a hash (for Falcon's hash-to-point) and as a PRNG.
-type SHAKE256 struct {
-	state     [25]uint64
-	buf       [136]byte // rate = 136 bytes for SHAKE256
-	absorbed  int
-	squeezing bool
-	offset    int
-}
+// usable both as a hash (for Falcon's hash-to-point) and as a PRNG.  It
+// wraps the standard library's crypto/sha3, whose Keccak permutation has
+// amd64 assembly.
+type SHAKE256 struct{ h *sha3.SHAKE }
 
 // NewSHAKE256 returns an empty sponge.
-func NewSHAKE256() *SHAKE256 { return &SHAKE256{} }
+func NewSHAKE256() *SHAKE256 { return &SHAKE256{h: sha3.NewSHAKE256()} }
 
 // NewSHAKE256Seeded absorbs seed and switches to squeezing, yielding a
 // deterministic PRNG.
@@ -83,70 +23,10 @@ func NewSHAKE256Seeded(seed []byte) *SHAKE256 {
 func (s *SHAKE256) Name() string { return "shake256" }
 
 // Absorb feeds data into the sponge.  It panics if squeezing has begun.
-func (s *SHAKE256) Absorb(p []byte) {
-	if s.squeezing {
-		panic("prng: SHAKE256 absorb after squeeze")
-	}
-	for _, by := range p {
-		s.buf[s.absorbed] = by
-		s.absorbed++
-		if s.absorbed == len(s.buf) {
-			s.permuteAbsorb()
-		}
-	}
-}
-
-func (s *SHAKE256) permuteAbsorb() {
-	for i := 0; i < len(s.buf)/8; i++ {
-		s.state[i] ^= binary.LittleEndian.Uint64(s.buf[8*i:])
-	}
-	keccakF1600(&s.state)
-	s.absorbed = 0
-	for i := range s.buf {
-		s.buf[i] = 0
-	}
-}
-
-func (s *SHAKE256) pad() {
-	s.buf[s.absorbed] ^= 0x1f
-	s.buf[len(s.buf)-1] ^= 0x80
-	for i := 0; i < len(s.buf)/8; i++ {
-		s.state[i] ^= binary.LittleEndian.Uint64(s.buf[8*i:])
-	}
-	keccakF1600(&s.state)
-	s.squeezing = true
-	s.offset = 0
-	s.fillSqueezeBuf()
-}
-
-func (s *SHAKE256) fillSqueezeBuf() {
-	for i := 0; i < len(s.buf)/8; i++ {
-		binary.LittleEndian.PutUint64(s.buf[8*i:], s.state[i])
-	}
-	s.offset = 0
-}
+func (s *SHAKE256) Absorb(p []byte) { s.h.Write(p) }
 
 // Fill implements Source: it squeezes len(p) bytes.
-func (s *SHAKE256) Fill(p []byte) {
-	if !s.squeezing {
-		s.pad()
-	}
-	for len(p) > 0 {
-		if s.offset == len(s.buf) {
-			keccakF1600(&s.state)
-			s.fillSqueezeBuf()
-		}
-		n := copy(p, s.buf[s.offset:])
-		s.offset += n
-		p = p[n:]
-	}
-}
+func (s *SHAKE256) Fill(p []byte) { s.h.Read(p) }
 
-// Sum256 returns a d-byte SHAKE256 digest of data (one-shot helper).
-func ShakeSum256(d int, data []byte) []byte {
-	s := NewSHAKE256()
-	s.Absorb(data)
-	out := make([]byte, d)
-	s.Fill(out)
-	return out
-}
+// ShakeSum256 returns a d-byte SHAKE256 digest of data (one-shot helper).
+func ShakeSum256(d int, data []byte) []byte { return sha3.SumSHAKE256(data, d) }

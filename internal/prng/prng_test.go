@@ -2,8 +2,15 @@ package prng
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
+
+	"ctgauss/internal/faultinject"
 )
 
 // RFC 8439 §2.3.2 test vector.
@@ -111,6 +118,28 @@ func TestSHAKEAbsorbAfterSqueezePanics(t *testing.T) {
 	s.Absorb([]byte("more"))
 }
 
+// TestSHAKE256Pinned pins the SHAKE256 stream beyond the short NIST
+// vectors: SHA-256 of 10,000 squeezed bytes of the seeded PRNG, and
+// 64 bytes of output after a 300-byte absorb (more than two rate
+// blocks).  Both digests come from an independent, hand-written Keccak
+// sponge, so they cross-check crypto/sha3 rather than restate it.
+func TestSHAKE256Pinned(t *testing.T) {
+	out := make([]byte, 10000)
+	NewSHAKE256Seeded([]byte("ctgauss")).Fill(out)
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(out)), "b3e4144bd7c310dadb601b710c015200fc7838605531fe2635d5add2aeea069b"; got != want {
+		t.Errorf("SHA-256 of 10000 squeezed bytes = %s, want %s", got, want)
+	}
+	msg := make([]byte, 300)
+	for i := range msg {
+		msg[i] = byte(i * 7)
+	}
+	want := "39f49d9cb095039f4fb3b8e595ad2230ca727e59d232e19f5220ba1195de06b8" +
+		"13f436b1636dd56354d483dda3a14619ca20233525a0a55569a761cee7aaa1fa"
+	if got := fmt.Sprintf("%x", ShakeSum256(64, msg)); got != want {
+		t.Errorf("SHAKE256 after a 300-byte absorb = %s, want %s", got, want)
+	}
+}
+
 func TestSHAKESqueezeCrossesRate(t *testing.T) {
 	s := NewSHAKE256Seeded([]byte("seed"))
 	big := make([]byte, 1000)
@@ -141,6 +170,18 @@ func TestAESCTRDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(pa, make([]byte, 300)) {
 		t.Fatal("AES-CTR produced zeros")
+	}
+}
+
+// TestAESCTRSeedTooLong pins the seed-length contract AES-CTR shares
+// with ChaCha20: a seed past 32 bytes is an error, never silently
+// truncated to a key that ignores its tail.
+func TestAESCTRSeedTooLong(t *testing.T) {
+	if _, err := NewSource("aes-ctr", make([]byte, 33)); err == nil || !strings.Contains(err.Error(), "seed must be at most 32 bytes, got 33") {
+		t.Fatalf("33-byte seed: err = %v", err)
+	}
+	if _, err := NewSource("aes-ctr", make([]byte, 32)); err != nil {
+		t.Fatalf("32-byte seed: %v", err)
 	}
 }
 
@@ -210,35 +251,65 @@ func TestBitReaderWords(t *testing.T) {
 // TestFillWordsMatchesUint64 pins the bulk path to the per-word reference:
 // the same byte stream (including partial-tail discards at buffer edges
 // and BitsRead accounting) must come out of FillWords regardless of the
-// request size or the reader's alignment going in.
+// request size or the reader's alignment going in.  Sizes of 64 words
+// and more reach the direct fill, which bypasses the internal buffer;
+// 2080 and 2081 span many whole buffers with a buffered tail, and the
+// 64 after 91 starts with four stale bytes in the buffer and ends on a
+// block boundary, so the reads after it check that the direct fill left
+// the buffer empty.
 func TestFillWordsMatchesUint64(t *testing.T) {
-	bulk := NewBitReader(MustChaCha20([]byte("fw")))
-	ref := NewBitReader(MustChaCha20([]byte("fw")))
-
-	sizes := []int{1, 3, 64, 65, 130, 7, 200, 63, 64, 1}
-	for round, n := range sizes {
-		got := make([]uint64, n)
-		want := make([]uint64, n)
-		bulk.FillWords(got)
-		for i := range want {
-			want[i] = ref.Uint64()
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d word %d: FillWords %#x, Uint64 %#x", round, i, got[i], want[i])
+	for _, name := range []string{"chacha20", "shake256", "aes-ctr"} {
+		t.Run(name, func(t *testing.T) {
+			newReader := func() *BitReader {
+				src, err := NewSource(name, []byte("fw"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewBitReader(src)
 			}
-		}
-		if bulk.BitsRead != ref.BitsRead {
-			t.Fatalf("round %d: BitsRead %d vs %d", round, bulk.BitsRead, ref.BitsRead)
-		}
-		// Misalign both readers identically between rounds to cover the
-		// re-alignment path (odd byte counts and dangling bits).
-		var scratch [3]byte
-		bulk.Bytes(scratch[:])
-		ref.Bytes(scratch[:])
-		bulk.Bit()
-		ref.Bit()
+			bulk, ref := newReader(), newReader()
+			sizes := []int{1, 3, 64, 65, 130, 7, 200, 63, 64, 1, 128, 130, 2080, 2081, 91, 64, 1}
+			for round, n := range sizes {
+				got := make([]uint64, n)
+				want := make([]uint64, n)
+				bulk.FillWords(got)
+				for i := range want {
+					want[i] = ref.Uint64()
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("round %d (n=%d) word %d: FillWords %#x, Uint64 %#x", round, n, i, got[i], want[i])
+					}
+				}
+				if bulk.BitsRead != ref.BitsRead {
+					t.Fatalf("round %d: BitsRead %d vs %d", round, bulk.BitsRead, ref.BitsRead)
+				}
+				// Misalign both readers identically between rounds to cover
+				// the re-alignment path (odd byte counts and dangling bits).
+				var gotBytes, wantBytes [3]byte
+				bulk.Bytes(gotBytes[:])
+				ref.Bytes(wantBytes[:])
+				if gotBytes != wantBytes || bulk.Bit() != ref.Bit() {
+					t.Fatalf("round %d (n=%d): the reads after FillWords diverge", round, n)
+				}
+			}
+		})
 	}
+}
+
+// TestFillWordsDirectFiresReadSeam pins the chaos seam on the direct
+// fill: a fresh reader asked for exactly one buffer's worth of words
+// never touches the internal buffer, yet an armed PRNGReadError must
+// still fire there, as it does on every refill.
+func TestFillWordsDirectFiresReadSeam(t *testing.T) {
+	defer faultinject.Arm(faultinject.PRNGReadError, faultinject.Fault{Shard: faultinject.AnyShard, Count: 1})()
+	r := NewBitReader(MustChaCha20([]byte("seam")))
+	defer func() {
+		if _, ok := recover().(*faultinject.Injected); !ok {
+			t.Fatal("FillWords of 64 words on a fresh reader did not fire PRNGReadError")
+		}
+	}()
+	r.FillWords(make([]uint64, 64))
 }
 
 func TestBitReaderMonobitSanity(t *testing.T) {
@@ -254,5 +325,67 @@ func TestBitReaderMonobitSanity(t *testing.T) {
 		if ones < n/2-1000 || ones > n/2+1000 {
 			t.Errorf("%s: %d ones of %d", name, ones, n)
 		}
+	}
+}
+
+func TestServingPRNG(t *testing.T) {
+	cases := []struct {
+		hw      bool
+		godebug string
+		want    string
+	}{
+		{true, "", "aes-ctr"},
+		{false, "", "chacha20"},
+		{true, "cpu.aes=off", "chacha20"},
+		{true, "cpu.sse41=off", "chacha20"},
+		{true, "cpu.ssse3=off", "chacha20"},
+		{true, "cpu.all=off", "chacha20"},
+		{true, "gctrace=1,cpu.aes=off", "chacha20"},
+		{true, "cpu.avx2=off,cpu.avx512f=off", "aes-ctr"},
+		{true, "cpu.aes=on", "aes-ctr"},
+		{true, "cpu.aes=off,cpu.aes=on", "aes-ctr"},
+		{true, "cpu.all=off,cpu.aes=on", "chacha20"},
+		{true, "cpu.all=off,cpu.all=on", "aes-ctr"},
+		{true, "cpu.aes=bogus", "aes-ctr"},
+		{false, "cpu.all=on", "chacha20"},
+	}
+	for _, c := range cases {
+		if got := servingPRNG(c.hw, c.godebug); got != c.want {
+			t.Errorf("servingPRNG(%v, %q) = %q, want %q", c.hw, c.godebug, got, c.want)
+		}
+	}
+}
+
+// TestServingReport logs the resolved default; TestServingGODEBUG runs
+// it in subprocesses under each GODEBUG spelling.
+func TestServingReport(t *testing.T) { t.Logf("serving=%s", Serving()) }
+
+// TestServingGODEBUG checks, in fresh processes, that every GODEBUG
+// switch that turns off crypto/aes's AES-NI path also turns off the
+// aes-ctr serving default, and that with GODEBUG empty the default
+// follows the hardware.
+func TestServingGODEBUG(t *testing.T) {
+	run := func(godebug string) string {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestServingReport$", "-test.v")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+		for _, name := range []string{"chacha20", "aes-ctr"} {
+			if strings.Contains(string(out), "serving="+name) {
+				return name
+			}
+		}
+		t.Fatalf("GODEBUG=%s: no serving= line in\n%s", godebug, out)
+		return ""
+	}
+	for _, godebug := range []string{"cpu.aes=off", "cpu.sse41=off", "cpu.ssse3=off", "cpu.all=off"} {
+		if got := run(godebug); got != "chacha20" {
+			t.Errorf("GODEBUG=%s: Serving() = %s, want chacha20", godebug, got)
+		}
+	}
+	if got, want := run(""), servingPRNG(hardwareAES, ""); got != want {
+		t.Errorf("GODEBUG empty: Serving() = %s, want %s", got, want)
 	}
 }

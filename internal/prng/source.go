@@ -5,16 +5,18 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"ctgauss/internal/faultinject"
 )
 
 // AESCTR runs AES-128/256 in counter mode as a PRNG — the "platform
 // specific alternative" (AES-NI) the paper's conclusion suggests for
-// cutting the pseudorandom-bit cost.
+// cutting the pseudorandom-bit cost.  It is constant time only where
+// crypto/aes runs on AES instructions; Serving decides when it may be
+// the default.
 type AESCTR struct {
 	stream cipher.Stream
-	zero   []byte
 }
 
 // NewAESCTR builds an AES-CTR PRNG from a 16, 24 or 32 byte seed.
@@ -24,29 +26,34 @@ func NewAESCTR(seed []byte) (*AESCTR, error) {
 		return nil, fmt.Errorf("prng: %w", err)
 	}
 	iv := make([]byte, block.BlockSize())
-	return &AESCTR{stream: cipher.NewCTR(block, iv), zero: make([]byte, 4096)}, nil
+	return &AESCTR{stream: cipher.NewCTR(block, iv)}, nil
 }
 
 // Name implements Source.
 func (a *AESCTR) Name() string { return "aes-ctr" }
 
-// Fill implements Source.
+// Fill implements Source: the keystream XORed over zeros.
 func (a *AESCTR) Fill(p []byte) {
-	for len(p) > 0 {
-		n := len(p)
-		if n > len(a.zero) {
-			n = len(a.zero)
-		}
-		a.stream.XORKeyStream(p[:n], a.zero[:n])
-		p = p[n:]
-	}
+	clear(p)
+	a.stream.XORKeyStream(p, p)
 }
+
+// bufSize is the BitReader's refill granularity in bytes.
+const bufSize = 512
+
+// blockWords is one refill's worth of 64-bit words.
+const blockWords = bufSize / 8
+
+// littleEndian reports whether the host stores a uint64 least
+// significant byte first, so that a byte view of a []uint64 decodes
+// word by word as binary.LittleEndian.Uint64.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // BitReader adapts a Source to single-bit and word reads while counting
 // consumption, supporting the paper's bits-per-sample measurements (§7).
 type BitReader struct {
 	src      Source
-	buf      [512]byte
+	buf      [bufSize]byte
 	off      int
 	bitInOff uint
 	// BitsRead counts every random bit handed out.
@@ -126,16 +133,25 @@ func (r *BitReader) alignByte() {
 // buffer in bulk.
 func (r *BitReader) Words(dst []uint64) { r.FillWords(dst) }
 
-// FillWords fills dst with random 64-bit words using one bulk pass over
-// the internal buffer per refill instead of a bounds-checked Uint64 per
-// word — the batch path of the wide samplers, which draw NumInputs×W
-// words at a time.  The byte stream consumed (including the discard of a
-// partial trailing word before refill) is identical to repeated Uint64
-// calls, so sampler output is unchanged.
+// FillWords fills dst with random 64-bit words, the batch path of the
+// wide samplers, which draw NumInputs×W words at a time.  Whenever it
+// reaches a refill point with 64 or more words still to go, it fills the
+// largest multiple of 64 words straight from the source through a byte
+// view of dst, skipping the staging copy through the internal buffer
+// (little-endian hosts only; big-endian hosts stay on the buffered
+// loop).  Either way the byte stream consumed — including the discard of
+// a partial trailing word before a refill — and the BitsRead accounting
+// are identical to repeated Uint64 calls, so sampler output is
+// unchanged.
 func (r *BitReader) FillWords(dst []uint64) {
 	r.alignByte()
 	for len(dst) > 0 {
 		if r.off+8 > len(r.buf) {
+			if n := len(dst) - len(dst)%blockWords; littleEndian && n > 0 {
+				r.fillDirect(dst[:n])
+				dst = dst[n:]
+				continue
+			}
 			r.refill()
 		}
 		n := (len(r.buf) - r.off) / 8
@@ -152,7 +168,23 @@ func (r *BitReader) FillWords(dst []uint64) {
 	}
 }
 
-// NewSource constructs a Source by name: "chacha20", "shake256", "aes-ctr".
+// fillDirect is FillWords' unbuffered refill: dst holds a whole number
+// of refill blocks, which the source writes in place.  It fires the
+// PRNGReadError seam once per block, as refill would, and leaves the
+// buffer empty, exactly where refill followed by draining the whole
+// buffer would leave it.
+func (r *BitReader) fillDirect(dst []uint64) {
+	for range len(dst) / blockWords {
+		faultinject.Fire(faultinject.PRNGReadError, faultinject.AnyShard)
+	}
+	r.src.Fill(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)))
+	r.off = len(r.buf)
+	r.BitsRead += uint64(64 * len(dst))
+}
+
+// NewSource constructs a Source by name: "chacha20", "shake256",
+// "aes-ctr".  ChaCha20 and AES-CTR take seeds of at most 32 bytes;
+// AES-CTR zero-pads any other length below 32 to a 256-bit key.
 func NewSource(name string, seed []byte) (Source, error) {
 	switch name {
 	case "chacha20":
@@ -160,6 +192,9 @@ func NewSource(name string, seed []byte) (Source, error) {
 	case "shake256":
 		return NewSHAKE256Seeded(seed), nil
 	case "aes-ctr":
+		if len(seed) > 32 {
+			return nil, fmt.Errorf("prng: AES-CTR seed must be at most 32 bytes, got %d", len(seed))
+		}
 		s := seed
 		if len(s) != 16 && len(s) != 24 && len(s) != 32 {
 			padded := make([]byte, 32)

@@ -157,6 +157,7 @@ type scrapeData struct {
 	sigmas   []sigmaStats
 	arb      *arbStats   // nil when the arbitrary layer is disabled
 	tier     *tierScrape // nil when tiering is disabled
+	prng     string      // the resolved sampling PRNG
 	draining bool
 	uptime   time.Duration
 	stages   []obs.StageScrape // nil when tracing is disabled
@@ -439,7 +440,7 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	// Process-level telemetry: build identity, uptime, Go runtime.
 	b := obs.Build()
 	ps.family("ctgaussd_build_info", "gauge", "Build identity as labels (value is always 1).").
-		rowf(fmt.Sprintf("{version=%q,go_version=%q,simd=%q}", b.Version, b.GoVersion, dispatch.Active().String()), "1")
+		rowf(fmt.Sprintf("{version=%q,go_version=%q,simd=%q,prng=%q}", b.Version, b.GoVersion, dispatch.Active().String(), d.prng), "1")
 	ps.family("ctgaussd_uptime_seconds", "gauge", "Seconds since the server started.").rowf("", "%g", d.uptime.Seconds())
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -9,14 +9,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ctgauss"
 	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/obs"
+	"ctgauss/internal/prng"
 )
 
 // tracedPost posts req and returns the response trace ID, the decoded
@@ -261,8 +264,8 @@ func TestBuildInfoExposed(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 
 	b := obs.Build()
-	series := fmt.Sprintf("ctgaussd_build_info{version=%q,go_version=%q,simd=%q}",
-		b.Version, b.GoVersion, dispatch.Active().String())
+	series := fmt.Sprintf("ctgaussd_build_info{version=%q,go_version=%q,simd=%q,prng=%q}",
+		b.Version, b.GoVersion, dispatch.Active().String(), prng.Serving())
 	if v := scrapeMetric(t, ts.URL, series); v != 1 {
 		t.Fatalf("%s = %g, want 1", series, v)
 	}
@@ -285,6 +288,44 @@ func TestBuildInfoExposed(t *testing.T) {
 	}
 	if h.Trace {
 		t.Fatal("healthz reports tracing on for an untraced server")
+	}
+	if h.PRNG != prng.Serving() {
+		t.Fatalf("healthz prng = %q, want the serving default %q", h.PRNG, prng.Serving())
+	}
+}
+
+// TestExplicitPRNGReachesEverySurface pins Config.PRNG's plumbing: a
+// named generator is what /healthz and ctgaussd_build_info report, and
+// what the served stream is drawn from.
+func TestExplicitPRNGReachesEverySurface(t *testing.T) {
+	seed := []byte("explicit-prng-seed")
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Seed = seed
+		c.PRNG = "shake256"
+		c.FalconKey = nil
+		c.FalconN = 0
+	})
+	if h := getHealth(t, ts.URL); h.PRNG != "shake256" {
+		t.Fatalf("healthz prng = %q, want shake256", h.PRNG)
+	}
+	b := obs.Build()
+	series := fmt.Sprintf("ctgaussd_build_info{version=%q,go_version=%q,simd=%q,prng=\"shake256\"}",
+		b.Version, b.GoVersion, dispatch.Active().String())
+	if v := scrapeMetric(t, ts.URL, series); v != 1 {
+		t.Fatalf("%s = %g, want 1", series, v)
+	}
+	served := drawSamples(t, ts.URL, 64)
+	direct, err := ctgauss.NewPoolWithConfig(ctgauss.Config{Sigma: "2", Seed: PoolSeed(seed, "2"), PRNG: "shake256"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	want := make([]int, 64)
+	if err := direct.NextBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(served, want) {
+		t.Fatalf("served %v, want the shake256 pool's %v", served[:8], want[:8])
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"ctgauss/falcon"
 	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/obs"
+	"ctgauss/internal/prng"
 	"ctgauss/internal/tier"
 )
 
@@ -35,8 +36,11 @@ type Config struct {
 	// publicly known development seed — set fresh randomness in
 	// production.
 	Seed []byte
-	// PRNG selects the pool generator: "chacha20" (default), "shake256",
-	// "aes-ctr".
+	// PRNG selects the generator of every sampling stream — σ pools,
+	// the arbitrary layer and promoted tier pools: "chacha20",
+	// "shake256" or "aes-ctr".  Empty means prng.Serving(): "aes-ctr"
+	// where crypto/aes runs on AES instructions, "chacha20" otherwise.
+	// Falcon signing keeps its own ChaCha20 streams.
 	PRNG string
 	// Prefetch is the refill lookahead per pool shard on the engine
 	// runtime: 0 = the pool default (double buffering), negative =
@@ -203,6 +207,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Seed == nil {
 		cfg.Seed = []byte("ctgaussd-default-seed")
+	}
+	if cfg.PRNG == "" {
+		cfg.PRNG = prng.Serving()
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -834,10 +841,14 @@ type healthResponse struct {
 	// the bitsliced op stream (portable/avx2/avx512), its native
 	// evaluation width, the backends this CPU supports, and any
 	// CTGAUSS_SIMD override (plus why it was not honored, if so).
-	Simd         dispatch.Info `json:"simd"`
-	Sigmas       []string      `json:"sigmas"`
-	DefaultSigma string        `json:"default_sigma"`
-	PoolShards   int           `json:"pool_shards"`
+	Simd dispatch.Info `json:"simd"`
+	// PRNG is the generator this replica's sampling streams run on (σ
+	// pools, arbitrary layer, tier pools): Config.PRNG, or
+	// prng.Serving() when that was empty.
+	PRNG         string   `json:"prng"`
+	Sigmas       []string `json:"sigmas"`
+	DefaultSigma string   `json:"default_sigma"`
+	PoolShards   int      `json:"pool_shards"`
 	// Prefetch is the default-σ pool's resolved refill lookahead depth
 	// (0 = synchronous refill).
 	Prefetch int `json:"prefetch"`
@@ -914,6 +925,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Build:         obs.Build(),
 		Trace:         s.obs.Enabled(),
 		Simd:          dispatch.Snapshot(),
+		PRNG:          s.cfg.PRNG,
 		Sigmas:        s.cfg.Sigmas,
 		DefaultSigma:  s.defaultSigma,
 		PoolShards:    s.co[s.defaultSigma].pool.Size(),
@@ -998,6 +1010,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sigmas:   sigmas,
 		arb:      arb,
 		tier:     ts,
+		prng:     s.cfg.PRNG,
 		draining: s.isDraining(),
 		uptime:   time.Since(s.start),
 		stages:   s.obs.Scrape(),

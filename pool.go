@@ -103,7 +103,12 @@ func NewPool(sigma string, parallelism int) (*Pool, error) {
 }
 
 // NewPoolWithConfig builds a serving pool from an explicit configuration.
+// An empty Config.PRNG selects prng.Serving(): AES-CTR where crypto/aes
+// runs on AES instructions, ChaCha20 elsewhere.
 func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
+	if cfg.PRNG == "" {
+		cfg.PRNG = prng.Serving()
+	}
 	cfg = cfg.normalize()
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

@@ -2,10 +2,12 @@ package ctgauss_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"ctgauss"
+	"ctgauss/internal/prng"
 )
 
 // poolCfg builds at reduced precision so pool tests stay fast; the
@@ -152,6 +154,36 @@ func TestPoolDeterministicFromSeed(t *testing.T) {
 				t.Fatalf("shard %d sample %d: %d vs %d", shard, i, sa[i], sb[i])
 			}
 		}
+	}
+}
+
+// TestPoolDefaultPRNGIsServing pins the pool's empty-PRNG default:
+// NewPool draws exactly the stream of a pool that names prng.Serving(),
+// and not that of a pool on the other generator.
+func TestPoolDefaultPRNGIsServing(t *testing.T) {
+	draw := func(p *ctgauss.Pool, err error) []int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		out := make([]int, 2048)
+		if err := p.TakeFromShard(0, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	other := "chacha20"
+	if prng.Serving() == "chacha20" {
+		other = "aes-ctr"
+	}
+	def := draw(ctgauss.NewPool("2", 1))
+	named := draw(ctgauss.NewPoolWithConfig(ctgauss.Config{Sigma: "2", PRNG: prng.Serving()}, 1))
+	if !slices.Equal(def, named) {
+		t.Fatalf("NewPool(\"2\") differs from a pool with PRNG %q", prng.Serving())
+	}
+	if slices.Equal(def, draw(ctgauss.NewPoolWithConfig(ctgauss.Config{Sigma: "2", PRNG: other}, 1))) {
+		t.Fatalf("NewPool(\"2\") matches a pool with PRNG %q too", other)
 	}
 }
 
