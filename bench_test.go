@@ -9,8 +9,9 @@
 //	§7       → BenchmarkPRNGOverhead       (PRNG share of sampling cost)
 //	Ablation → BenchmarkAblation*          (design-choice costs)
 //
-// cmd/falconbench and cmd/samplebench print the same data as the paper's
-// table rows.
+// The build-once/serve-many path has its own rows: BenchmarkBuildMinimization,
+// BenchmarkRegistryCacheHit, BenchmarkRegistryDiskLoad and
+// BenchmarkPoolThroughput.
 package ctgauss_test
 
 import (
@@ -138,7 +139,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 		}
 		// The pre-optimization reference: the SSA interpreter with the
 		// per-bit unpack loop, kept as the baseline the optimized engine
-		// is measured against (BENCH_PR2.json).
+		// is measured against.
 		b.Run("sigma"+sigma+"/thiswork-refinterp", func(b *testing.B) {
 			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
 			s := sampler.NewReference(bb.Program, prng.MustChaCha20([]byte("t2")))

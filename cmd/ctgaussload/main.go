@@ -1,6 +1,6 @@
 // Command ctgaussload drives a running ctgaussd and prints a JSON
-// throughput report (the serving analogue of samplebench -json).  Its
-// counters are designed to reconcile with the daemon's /metrics:
+// throughput report.  Its counters are designed to reconcile with the
+// daemon's /metrics:
 // requests against ctgaussd_requests_total, samples against
 // ctgaussd_samples_served_total, signatures and verifications against
 // their counters.  The report also carries the refill engine's prefetch
@@ -13,7 +13,6 @@
 //	ctgaussload                                      # 8 clients × 100 sample requests
 //	ctgaussload -sigma 3.5                           # free-form σ through /v1/samples
 //	ctgaussload -mode arbitrary -sigma 17.5 -mu 0.375
-//	ctgaussload -mode arbitrary -hotkey -sigma 3.3   # ns/sample before vs after tier promotion
 //	ctgaussload -mode sign -clients 4 -requests 50
 //	ctgaussload -mode mix -count 256
 //	ctgaussload -retries 5 -retry-backoff 50ms       # ride out 429/503 shedding
@@ -51,29 +50,25 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	retries := flag.Int("retries", 0, "retries per request on 429/503 (jittered exponential backoff, floored by the server's Retry-After)")
 	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "base backoff before the first retry")
-	hotkey := flag.Bool("hotkey", false, "arbitrary mode only: measure ns/sample before and after the daemon promotes -sigma to a compiled pool (needs -tier-promote-rps on the daemon)")
-	hotkeyTimeout := flag.Duration("hotkey-timeout", 60*time.Second, "promotion wait budget for -hotkey")
 	stages := flag.Bool("stages", false, "report the per-stage latency breakdown from the daemon's stage trailers, reconciled against its ctgaussd_stage_seconds histograms (daemon needs -trace)")
 	slowest := flag.Int("slowest", 0, "list the trace IDs of the K slowest requests (0 = off; -stages defaults it to 5)")
 	jsonPath := flag.String("json", "-", "report destination (\"-\" = stdout)")
 	flag.Parse()
 
 	report, err := server.RunLoad(server.LoadConfig{
-		BaseURL:       *addr,
-		Mode:          *mode,
-		Clients:       *clients,
-		Requests:      *requests,
-		Count:         *count,
-		Sigma:         *sigma,
-		Mu:            *mu,
-		Message:       []byte(*message),
-		Timeout:       *timeout,
-		Retries:       *retries,
-		RetryBackoff:  *retryBackoff,
-		HotKey:        *hotkey,
-		HotKeyTimeout: *hotkeyTimeout,
-		Stages:        *stages,
-		SlowestK:      *slowest,
+		BaseURL:      *addr,
+		Mode:         *mode,
+		Clients:      *clients,
+		Requests:     *requests,
+		Count:        *count,
+		Sigma:        *sigma,
+		Mu:           *mu,
+		Message:      []byte(*message),
+		Timeout:      *timeout,
+		Retries:      *retries,
+		RetryBackoff: *retryBackoff,
+		Stages:       *stages,
+		SlowestK:     *slowest,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ctgaussload:", err)
@@ -95,10 +90,6 @@ func main() {
 		os.Exit(1)
 	}
 	if report.Errors > 0 {
-		os.Exit(2)
-	}
-	if report.HotKey != nil && !report.HotKey.Promoted {
-		fmt.Fprintln(os.Stderr, "ctgaussload: hot key was never promoted within the wait budget")
 		os.Exit(2)
 	}
 }

@@ -62,7 +62,8 @@ func (b Backend) NativeWidth() int {
 		// Four ymm (AVX2) or two zmm (AVX-512) per slot: 1024 lanes per
 		// evaluation amortizes the per-instruction decode and dispatch
 		// across 16 words.  Measured ~2× the per-sample throughput of
-		// the same kernels at width 8 (BENCH_PR10.json).
+		// the same kernels at width 8 (BenchmarkRealEngines in
+		// internal/bitslice).
 		return 16
 	default:
 		// The portable interpreter's widest unrolled body; wider slot

@@ -1,9 +1,12 @@
 package bitslice_test
 
 // Benchmarks of the evaluation engines on the paper's real generated
-// circuits (σ=2 and σ=6.15543 at n=128): the reference SSA interpreter
-// versus the register-allocated Optimized form at widths 1, 4 and 8.
-// Wide rows report ns/batch (per 64 samples) for comparability.
+// circuits (σ=2 and σ=6.15543 at n=128): the reference SSA interpreter,
+// the register-allocated Optimized form at widths 1 and 4, and every
+// SIMD backend this CPU has (plus the portable interpreter) at the
+// kernel widths 8 and 16, each forced through dispatch.Force.  Wide rows
+// report ns/batch (per 64 samples) for comparability; the backend rows
+// also report ns/sample.
 
 import (
 	"fmt"
@@ -11,6 +14,7 @@ import (
 	"testing"
 
 	"ctgauss/internal/bitslice"
+	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/core"
 )
 
@@ -23,6 +27,7 @@ func realProg(b *testing.B, sigma string) *bitslice.Program {
 }
 
 func BenchmarkRealEngines(b *testing.B) {
+	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
 	for _, sigma := range []string{"2", "6.15543"} {
 		p := realProg(b, sigma)
 		o := bitslice.Optimize(p)
@@ -40,21 +45,35 @@ func BenchmarkRealEngines(b *testing.B) {
 				p.RunInto(in, regs, out)
 			}
 		})
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("sigma%s/opt-w%d", sigma, w), func(b *testing.B) {
-				in := make([]uint64, p.NumInputs*w)
-				for i := range in {
-					in[i] = rng.Uint64()
-				}
-				slots := o.NewSlots(w)
-				out := make([]uint64, len(o.Outputs)*w)
-				b.ReportMetric(float64(o.OpCount()), "ops")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o.RunWideInto(w, in, slots, out)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/batch")
-			})
+		runWide := func(b *testing.B, w int) {
+			in := make([]uint64, p.NumInputs*w)
+			for i := range in {
+				in[i] = rng.Uint64()
+			}
+			slots := o.NewSlots(w)
+			out := make([]uint64, len(o.Outputs)*w)
+			b.ReportMetric(float64(o.OpCount()), "ops")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.RunWideInto(w, in, slots, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/batch")
+		}
+		for _, w := range []int{1, 4} {
+			b.Run(fmt.Sprintf("sigma%s/opt-w%d", sigma, w), func(b *testing.B) { runWide(b, w) })
+		}
+		for _, be := range backends {
+			for _, w := range []int{8, 16} {
+				b.Run(fmt.Sprintf("sigma%s/%s/w%d", sigma, be, w), func(b *testing.B) {
+					restore, err := dispatch.Force(be)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer restore()
+					runWide(b, w)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*64), "ns/sample")
+				})
+			}
 		}
 	}
 }

@@ -28,8 +28,8 @@ func benchSampler(b *testing.B) *Sampler {
 
 // BenchmarkArbitraryNextBatch measures the convolved cost per sample at
 // several targets (compare against the direct compiled circuit rows of
-// samplebench -json; the gap is the price of serving a σ no circuit was
-// built for).
+// BenchmarkTable2Sampler; the gap is the price of serving a σ no circuit
+// was built for).
 func BenchmarkArbitraryNextBatch(b *testing.B) {
 	s := benchSampler(b)
 	for _, tc := range []struct{ sigma, mu float64 }{

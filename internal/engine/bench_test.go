@@ -41,8 +41,7 @@ func benchFill(s int, dst []int) {
 }
 
 // BenchmarkEngineTake compares the synchronous and asynchronous refill
-// modes under parallel consumers — the package-level version of the
-// samplebench -serving measurement.
+// modes under parallel consumers.
 func BenchmarkEngineTake(b *testing.B) {
 	for _, tc := range []struct {
 		name  string

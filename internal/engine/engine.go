@@ -61,8 +61,8 @@
 //
 // Depth = 0 selects the synchronous mode: no goroutines, refills run
 // inline under the ring lock — bit- and ledger-identical to the
-// pre-engine behaviour, and the baseline the BENCH_PR5 serving benchmark
-// compares against.
+// pre-engine behaviour, and the baseline BenchmarkEngineTake compares
+// the asynchronous modes against.
 package engine
 
 import (

@@ -7,8 +7,8 @@ import (
 
 // NumBuckets is the number of log2 histogram buckets: bucket i counts
 // observations with ceil(log2(ns)) == i, saturating at the top, so the
-// range spans 1ns through ~68s.  Matches the server's endpoint-latency
-// histograms so stage and endpoint distributions compare directly.
+// range spans 1ns through ~68s.  The server's per-endpoint latency and
+// per-stage histograms share it, so their distributions compare directly.
 const NumBuckets = 37
 
 // Histogram is a lock-free log2 latency histogram.  The zero value is
@@ -59,3 +59,30 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // BucketUpperNs returns bucket i's inclusive upper bound in
 // nanoseconds (2^i).
 func BucketUpperNs(i int) uint64 { return 1 << uint(i) }
+
+// Quantile returns the upper bound in nanoseconds of the bucket that
+// holds the q-quantile (0 for an empty snapshot): at most a factor-2
+// overestimate.  The rank is taken over the bucket counts themselves,
+// so a snapshot torn by in-flight observations still resolves within
+// its buckets.
+func (s HistogramSnapshot) Quantile(q float64) uint64 {
+	var total uint64
+	for _, c := range s.Buckets {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	target := uint64(q * float64(total))
+	if target < 1 {
+		target = 1
+	}
+	var cum uint64
+	for i, c := range s.Buckets {
+		cum += c
+		if cum >= target {
+			return BucketUpperNs(i)
+		}
+	}
+	return BucketUpperNs(NumBuckets - 1)
+}

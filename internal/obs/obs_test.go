@@ -279,6 +279,42 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	var empty Histogram
+	if q := empty.Snapshot().Quantile(0.5); q != 0 {
+		t.Fatalf("empty snapshot quantile = %d, want 0", q)
+	}
+
+	var pow Histogram
+	pow.Observe(1 << 20) // an exact power of two is its own bucket's bound
+	if q := pow.Snapshot().Quantile(0.5); q != 1<<20 {
+		t.Fatalf("quantile of 2^20 = %d, want %d", q, 1<<20)
+	}
+
+	var top Histogram
+	top.Observe(1 << 50) // past the last bound: saturates
+	if q, want := top.Snapshot().Quantile(1), BucketUpperNs(NumBuckets-1); q != want {
+		t.Fatalf("saturated quantile = %d, want %d", q, want)
+	}
+
+	// i²·37 ns for i = 1..1000.  The wants (16.777216 ms and 67.108864 ms)
+	// are the quantiles ctgaussd_latency_seconds reported for these
+	// observations before it was rendered from this type.
+	var h Histogram
+	for i := int64(1); i <= 1000; i++ {
+		h.Observe(i * i * 37)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{{0.5, 16777216}, {0.99, 67108864}} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%g) = %d ns, want %d", c.q, got, c.want)
+		}
+	}
+}
+
 func TestBuildInfo(t *testing.T) {
 	b := Build()
 	if b.Version == "" {

@@ -47,6 +47,10 @@ func LintMetrics(r io.Reader) []error {
 			if fields[1] != "TYPE" {
 				continue
 			}
+			if len(fields) != 4 {
+				errs = append(errs, fmt.Errorf("line %d: malformed # TYPE line %q (want # TYPE name kind)", lineNo, line))
+				continue
+			}
 			name, kind := fields[2], fields[3]
 			if _, dup := types[name]; dup {
 				errs = append(errs, fmt.Errorf("line %d: duplicate family %q", lineNo, name))
@@ -68,14 +72,12 @@ func LintMetrics(r io.Reader) []error {
 			current = name
 			continue
 		}
-		name, labels, value, err := parseSample(line)
+		s, err := parseSample(line)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("line %d: %v", lineNo, err))
 			continue
 		}
-		if _, err := strconv.ParseFloat(value, 64); err != nil {
-			errs = append(errs, fmt.Errorf("line %d: sample %s has non-numeric value %q", lineNo, name, value))
-		}
+		name := s.Name
 		fam, ok := familyOf(name, types)
 		if !ok {
 			errs = append(errs, fmt.Errorf("line %d: sample %s has no registered family (# TYPE missing)", lineNo, name))
@@ -88,7 +90,7 @@ func LintMetrics(r io.Reader) []error {
 			current = fam
 		}
 		seenSamples[fam] = true
-		if types[fam] == "histogram" && strings.HasSuffix(name, "_bucket") && !strings.Contains(labels, `le="`) {
+		if _, le := s.Labels["le"]; types[fam] == "histogram" && strings.HasSuffix(name, "_bucket") && !le {
 			errs = append(errs, fmt.Errorf("line %d: histogram sample %s lacks an le label", lineNo, name))
 		}
 	}
@@ -105,56 +107,107 @@ func LintMetrics(r io.Reader) []error {
 
 var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// parseSample splits "name{labels} value" (labels optional) and
-// validates the label syntax loosely.
-func parseSample(line string) (name, labels, value string, err error) {
+// Sample is one sample line of a Prometheus text exposition.
+type Sample struct {
+	// Series is the metric name and label block exactly as exposed,
+	// e.g. `ctgaussd_requests_total{endpoint="samples"}`.
+	Series string
+	// Name is the metric name; a histogram's samples keep their _bucket,
+	// _sum or _count suffix.
+	Name string
+	// Labels maps each label name to its unquoted value (nil when the
+	// sample has no labels).
+	Labels map[string]string
+	// Value is the sample value.
+	Value float64
+}
+
+// ParseMetrics reads every sample of a Prometheus text-format (0.0.4)
+// exposition, in order, skipping comment and blank lines.  A malformed
+// sample line is an error; family-level rules are LintMetrics's job.
+func ParseMetrics(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := sc.Text()
+		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := parseSample(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %v", lineNo, err)
+		}
+		out = append(out, s)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading exposition: %v", err)
+	}
+	return out, nil
+}
+
+// parseSample parses "name{labels} value" (labels optional).
+func parseSample(line string) (Sample, error) {
+	var s Sample
 	rest := line
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		name = rest[:i]
 		j := strings.LastIndexByte(rest, '}')
 		if j < i {
-			return "", "", "", fmt.Errorf("unbalanced label braces in %q", line)
+			return Sample{}, fmt.Errorf("unbalanced label braces in %q", line)
 		}
-		labels = rest[i+1 : j]
-		rest = strings.TrimSpace(rest[j+1:])
+		s.Name, s.Series = rest[:i], rest[:j+1]
+		if body := rest[i+1 : j]; body != "" {
+			s.Labels = make(map[string]string)
+			for _, pair := range splitLabels(body) {
+				k, v, ok := strings.Cut(pair, "=")
+				uv, err := strconv.Unquote(v)
+				if !ok || !metricNameRE.MatchString(k) || !strings.HasPrefix(v, `"`) || err != nil {
+					return Sample{}, fmt.Errorf("malformed label %q in %q", pair, line)
+				}
+				s.Labels[k] = uv
+			}
+		}
+		rest = rest[j+1:]
 	} else {
 		fields := strings.Fields(rest)
 		if len(fields) != 2 {
-			return "", "", "", fmt.Errorf("malformed sample %q", line)
+			return Sample{}, fmt.Errorf("malformed sample %q", line)
 		}
-		name, rest = fields[0], fields[1]
+		s.Name, s.Series, rest = fields[0], fields[0], fields[1]
 	}
-	if labels != "" {
-		for _, pair := range splitLabels(labels) {
-			k, v, ok := strings.Cut(pair, "=")
-			if !ok || !metricNameRE.MatchString(k) || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				return "", "", "", fmt.Errorf("malformed label %q in %q", pair, line)
-			}
-		}
+	if !metricNameRE.MatchString(s.Name) {
+		return Sample{}, fmt.Errorf("invalid metric name %q", s.Name)
 	}
-	if !metricNameRE.MatchString(name) {
-		return "", "", "", fmt.Errorf("invalid metric name %q", name)
-	}
-	value = strings.TrimSpace(rest)
+	value := strings.TrimSpace(rest)
 	if value == "" {
-		return "", "", "", fmt.Errorf("sample %q has no value", line)
+		return Sample{}, fmt.Errorf("sample %q has no value", line)
 	}
-	return name, labels, value, nil
+	v, err := strconv.ParseFloat(value, 64)
+	if err != nil {
+		return Sample{}, fmt.Errorf("sample %s has non-numeric value %q", s.Name, value)
+	}
+	s.Value = v
+	return s, nil
 }
 
-// splitLabels splits a label body on commas outside quoted values.
+// splitLabels splits a label body on commas outside quoted values; a
+// backslash inside quotes escapes the byte after it.
 func splitLabels(s string) []string {
 	var out []string
-	depth := false // inside quotes
+	quoted := false
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
+		case '\\':
+			if quoted {
+				i++
 			}
+		case '"':
+			quoted = !quoted
 		case ',':
-			if !depth {
+			if !quoted {
 				out = append(out, strings.TrimSpace(s[start:i]))
 				start = i + 1
 			}

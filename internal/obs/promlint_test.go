@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,11 @@ func TestLintCatchesViolations(t *testing.T) {
 			"non-numeric value",
 		},
 		{
+			"# TYPE without a kind",
+			"# TYPE ctgaussd_foo\nctgaussd_foo 1\n",
+			"malformed # TYPE line",
+		},
+		{
 			"interleaved families",
 			"# TYPE a_total counter\n# TYPE b_total counter\na_total 1\nb_total 1\na_total{x=\"y\"} 2\n",
 			"interleaved",
@@ -77,6 +83,68 @@ func TestLintCatchesViolations(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: lint missed it (errors: %v)", tc.name, errs)
+		}
+	}
+}
+
+func TestParseMetrics(t *testing.T) {
+	scrape := `# HELP a_requests_total Requests.
+# TYPE a_requests_total counter
+a_requests_total{note="x, \"y\" \\",endpoint="samples"} 12
+
+a_uptime_seconds 3.5
+# TYPE c_stage_seconds histogram
+c_stage_seconds_bucket{stage="decode",le="0.001"} 4
+c_stage_seconds_bucket{stage="decode",le="+Inf"} 5
+c_stage_seconds_sum{stage="decode"} 0.004
+c_stage_seconds_count{stage="decode"} 5
+`
+	got, err := ParseMetrics(strings.NewReader(scrape))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Sample{
+		{`a_requests_total{note="x, \"y\" \\",endpoint="samples"}`, "a_requests_total",
+			map[string]string{"endpoint": "samples", "note": `x, "y" \`}, 12},
+		{"a_uptime_seconds", "a_uptime_seconds", nil, 3.5},
+		{`c_stage_seconds_bucket{stage="decode",le="0.001"}`, "c_stage_seconds_bucket",
+			map[string]string{"stage": "decode", "le": "0.001"}, 4},
+		{`c_stage_seconds_bucket{stage="decode",le="+Inf"}`, "c_stage_seconds_bucket",
+			map[string]string{"stage": "decode", "le": "+Inf"}, 5},
+		{`c_stage_seconds_sum{stage="decode"}`, "c_stage_seconds_sum", map[string]string{"stage": "decode"}, 0.004},
+		{`c_stage_seconds_count{stage="decode"}`, "c_stage_seconds_count", map[string]string{"stage": "decode"}, 5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed\n%+v\nwant\n%+v", got, want)
+	}
+	// Series is each sample line's exposed text up to the value.
+	k := 0
+	for _, line := range strings.Split(scrape, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if exposed := line[:strings.LastIndexByte(line, ' ')]; got[k].Series != exposed {
+			t.Errorf("Series = %q, exposed as %q", got[k].Series, exposed)
+		}
+		k++
+	}
+}
+
+func TestParseMetricsRejectsMalformedSample(t *testing.T) {
+	for _, line := range []string{
+		"a_total",                 // no value
+		"a_total 1 2",             // extra field
+		"a_total pony",            // non-numeric value
+		`a_total{x="y" 1`,         // unbalanced braces
+		`a_total{x=y} 1`,          // unquoted label value
+		"a_total{x=`y`} 1",        // backquoted label value
+		`a_total{x="y\q"} 1`,      // invalid escape
+		`9a_total 1`,              // invalid metric name
+		`a_total{x="y"}`,          // labels but no value
+		`a_total{x="y",9z="w"} 1`, // invalid label name
+	} {
+		if _, err := ParseMetrics(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%q parsed without error", line)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // SSA interpreter with one fresh register per instruction, inputs drawn
 // one bounds-checked word at a time, and the per-bit shift-and-mask
 // unpack.  It is the measurement baseline the optimized engine is
-// compared against (BENCH_PR2.json, samplebench, bench_test.go) and the
+// compared against (BenchmarkTable2Sampler's refinterp rows) and the
 // stream a width-1 Bitsliced must reproduce bit-for-bit.  Do not optimize
 // it — its value is being the fixed point of comparison.
 type Reference struct {

@@ -334,7 +334,7 @@ func TestWideBatchAccounting(t *testing.T) {
 }
 
 // TestCompiledCountsBatches pins the Batches instrumentation shared with
-// Bitsliced (samplebench reports both).
+// Bitsliced.
 func TestCompiledCountsBatches(t *testing.T) {
 	fn := func(in, out []uint64) { out[0] = in[0] }
 	s := NewCompiled("t", fn, 1, 1, prng.MustChaCha20([]byte("count")))

@@ -8,9 +8,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -51,17 +51,6 @@ type LoadConfig struct {
 	// 25ms; doubles per attempt, capped at 2s before jitter).
 	RetryBackoff time.Duration
 
-	// HotKey turns arbitrary mode into a tier-promotion benchmark: one
-	// full load phase against the convolved tier, a wait (bounded by
-	// HotKeyTimeout) for the daemon's tier controller to promote the σ,
-	// then a second identical phase against the compiled tier.  The
-	// report's HotKey block carries ns/sample before and after.  Requires
-	// a daemon running with -tier-promote-rps > 0.
-	HotKey bool
-	// HotKeyTimeout bounds the promotion wait (default 60s).  On timeout
-	// the after-phase still runs (the report then shows promoted=false).
-	HotKeyTimeout time.Duration
-
 	// Stages reports the client-observed per-stage latency breakdown from
 	// the daemon's X-Ctgauss-Stages response trailers, reconciled against
 	// the daemon's own ctgaussd_stage_seconds histograms scraped at the
@@ -81,13 +70,13 @@ type LatencySummary struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// LoadReport is the throughput report RunLoad produces (the serving
-// analogue of samplebench -json).  Counters are designed to reconcile
-// with the daemon's /metrics: ctgaussd_requests_total counts
-// queue-admitted requests, so its deltas over the exercised endpoints
-// sum to (Requests + Retries) − Rejected — each retry is its own HTTP
-// attempt, and each attempt the daemon sheds with 429 counts once in
-// Rejected; Samples matches ctgaussd_samples_served_total, and so on.
+// LoadReport is the throughput report RunLoad produces.  Counters are
+// designed to reconcile with the daemon's /metrics:
+// ctgaussd_requests_total counts queue-admitted requests, so its deltas
+// over the exercised endpoints sum to (Requests + Retries) − Rejected —
+// each retry is its own HTTP attempt, and each attempt the daemon sheds
+// with 429 counts once in Rejected; Samples matches
+// ctgaussd_samples_served_total, and so on.
 // ServerCancelled is the daemon's own tally of requests whose context
 // ended mid-flight (ctgaussd_requests_cancelled_total summed over
 // endpoints) — under client timeouts it accounts for attempts that
@@ -123,9 +112,6 @@ type LoadReport struct {
 	PrefetchMisses   uint64  `json:"prefetch_misses"`
 	PrefetchHitRatio float64 `json:"prefetch_hit_ratio"`
 
-	// HotKey is the tier-promotion benchmark block (HotKey mode only).
-	HotKey *HotKeyReport `json:"hotkey,omitempty"`
-
 	// SlowestRequests identifies the run's K slowest successful requests
 	// by daemon-issued trace ID — grep these against the daemon's
 	// slow-request log to see where each one's time went server-side.
@@ -156,36 +142,6 @@ type StageBreakdown struct {
 	MeanUs       float64 `json:"mean_us"`
 	Share        float64 `json:"share"`
 	DaemonMeanUs float64 `json:"daemon_mean_us,omitempty"`
-}
-
-// HotKeyReport is the before/after ledger of one σ's promotion from the
-// convolved tier to a compiled pool.
-type HotKeyReport struct {
-	// Sigma is the hot key (decimal spelling as requested).
-	Sigma string `json:"sigma"`
-	// Promoted reports whether the daemon promoted the key within
-	// HotKeyTimeout; false means the after-phase still ran convolved and
-	// Improvement is meaningless.
-	Promoted bool `json:"promoted"`
-	// PromotionWaitSeconds is how long after the first phase the key took
-	// to reach the compiled tier.
-	PromotionWaitSeconds float64 `json:"promotion_wait_seconds"`
-	// NsPerSampleBefore/After are the daemon's own per-tier sampling
-	// costs over each phase — Δ ctgaussd_tier_sample_seconds_total /
-	// Δ ctgaussd_tier_samples_total scraped at the phase boundaries
-	// (before from the convolved ledger, after from the compiled one).
-	// That is time inside the sampler call itself, transport excluded:
-	// the figure a promotion changes and the one comparable with
-	// samplebench's BENCH_PR4 numbers.
-	NsPerSampleBefore float64 `json:"ns_per_sample_before"`
-	NsPerSampleAfter  float64 `json:"ns_per_sample_after"`
-	// Improvement is NsPerSampleBefore / NsPerSampleAfter.
-	Improvement float64 `json:"improvement"`
-	// ClientNsPerSample{Before,After} are the end-to-end figures for the
-	// same phases (request latency / samples, HTTP and JSON included) —
-	// what a client observes, floor-bounded by transport.
-	ClientNsPerSampleBefore float64 `json:"client_ns_per_sample_before"`
-	ClientNsPerSampleAfter  float64 `json:"client_ns_per_sample_after"`
 }
 
 // respMeta carries the observability envelope of one response: the
@@ -282,6 +238,16 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		return nil, fmt.Errorf("loadgen: unknown mode %q (want samples, arbitrary, sign, verify or mix)", cfg.Mode)
 	}
 
+	// Arbitrary requests carry σ as a JSON number: parse it once, before
+	// any load request, so a bad -sigma fails the run instead of every
+	// request.
+	arbSigma := 3.3
+	if cfg.Sigma != "" && slices.Contains(endpoints, "arbitrary") {
+		if arbSigma, err = strconv.ParseFloat(cfg.Sigma, 64); err != nil {
+			return nil, fmt.Errorf("loadgen: arbitrary requests need a decimal σ: %w", err)
+		}
+	}
+
 	// verify requests need a genuine signature: obtain one up front (not
 	// counted in the report).
 	var sigB64 string
@@ -296,77 +262,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	collect := cfg.Stages || cfg.SlowestK > 0
-	runPhase := func() ([]loadWorker, time.Duration) {
-		workers := make([]loadWorker, cfg.Clients)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < cfg.Clients; c++ {
-			wg.Add(1)
-			go func(w *loadWorker) {
-				defer wg.Done()
-				for i := 0; i < cfg.Requests; i++ {
-					ep := endpoints[i%len(endpoints)]
-					t0 := time.Now()
-					meta, err := doRequest(client, cfg, ep, sigB64, w)
-					for attempt := 0; attempt < cfg.Retries && isRetryable(err); attempt++ {
-						time.Sleep(retryDelay(cfg.RetryBackoff, attempt, err))
-						w.retries++
-						meta, err = doRequest(client, cfg, ep, sigB64, w)
-					}
-					lat := time.Since(t0)
-					w.latencies = append(w.latencies, lat)
-					w.requests++
-					if err != nil && !isRejection(err) {
-						// 429s count as Rejected only: backpressure working
-						// as designed is not a failure of the run.
-						w.errors++
-					}
-					if collect && err == nil && meta != nil {
-						w.records = append(w.records, reqRecord{
-							endpoint: ep, traceID: meta.traceID, latency: lat, stages: meta.stages,
-						})
-					}
-				}
-			}(&workers[c])
-		}
-		wg.Wait()
-		return workers, time.Since(start)
-	}
-
-	var hot *HotKeyReport
-	if cfg.HotKey {
-		if cfg.Mode != "arbitrary" {
-			return nil, fmt.Errorf("loadgen: hot-key benchmarking needs mode \"arbitrary\", not %q", cfg.Mode)
-		}
-		if cfg.HotKeyTimeout <= 0 {
-			cfg.HotKeyTimeout = 60 * time.Second
-		}
-		hotSigma := cfg.Sigma
-		if hotSigma == "" {
-			hotSigma = "3.3"
-		}
-		sigmaF, perr := strconv.ParseFloat(hotSigma, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key σ %q: %w", hotSigma, perr)
-		}
-		// Fail before spending a load phase if the daemon cannot promote.
-		if _, terr := probeTierState(client, cfg.BaseURL, sigmaF); terr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key mode: %w", terr)
-		}
-		hot = &HotKeyReport{Sigma: hotSigma}
-	}
-
-	// The hot-key phases bracket the daemon's per-tier sampling ledger:
-	// the before figure is the convolved ledger's delta over phase one,
-	// the after figure the compiled ledger's delta over phase two, so
-	// the wait-loop trickle between them counts in neither.
-	var led0 tierLedger
-	if hot != nil {
-		var lerr error
-		if led0, lerr = scrapeTierLedger(client, cfg.BaseURL); lerr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key mode: tier ledger scrape: %w", lerr)
-		}
-	}
 	var sled0 stageLedger
 	if cfg.Stages {
 		var serr error
@@ -374,60 +269,40 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			return nil, fmt.Errorf("loadgen: stage ledger scrape: %w", serr)
 		}
 	}
-	workers, elapsed := runPhase()
-	if hot != nil {
-		clientNsPer := func(ws []loadWorker) float64 {
-			var lat time.Duration
-			var samples int
-			for i := range ws {
-				for _, d := range ws[i].latencies {
-					lat += d
+	workers := make([]loadWorker, cfg.Clients)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := 0; c < cfg.Clients; c++ {
+		wg.Add(1)
+		go func(w *loadWorker) {
+			defer wg.Done()
+			for i := 0; i < cfg.Requests; i++ {
+				ep := endpoints[i%len(endpoints)]
+				t0 := time.Now()
+				meta, err := doRequest(client, cfg, ep, arbSigma, sigB64, w)
+				for attempt := 0; attempt < cfg.Retries && isRetryable(err); attempt++ {
+					time.Sleep(retryDelay(cfg.RetryBackoff, attempt, err))
+					w.retries++
+					meta, err = doRequest(client, cfg, ep, arbSigma, sigB64, w)
 				}
-				samples += ws[i].arbitrary
+				lat := time.Since(t0)
+				w.latencies = append(w.latencies, lat)
+				w.requests++
+				if err != nil && !isRejection(err) {
+					// 429s count as Rejected only: backpressure working
+					// as designed is not a failure of the run.
+					w.errors++
+				}
+				if collect && err == nil && meta != nil {
+					w.records = append(w.records, reqRecord{
+						endpoint: ep, traceID: meta.traceID, latency: lat, stages: meta.stages,
+					})
+				}
 			}
-			if samples == 0 {
-				return 0
-			}
-			return float64(lat.Nanoseconds()) / float64(samples)
-		}
-		led1, lerr := scrapeTierLedger(client, cfg.BaseURL)
-		if lerr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key mode: tier ledger scrape: %w", lerr)
-		}
-		hot.NsPerSampleBefore = led1.convolvedNsPerSample(led0)
-		hot.ClientNsPerSampleBefore = clientNsPer(workers)
-		// Keep the key hot with a trickle of single requests while the
-		// daemon's tier controller notices and builds the compiled pool.
-		sigmaF, _ := strconv.ParseFloat(hot.Sigma, 64)
-		waitStart := time.Now()
-		for time.Since(waitStart) < cfg.HotKeyTimeout {
-			var scratch loadWorker
-			_, _ = doRequest(client, cfg, "arbitrary", "", &scratch)
-			state, terr := probeTierState(client, cfg.BaseURL, sigmaF)
-			if terr == nil && state == "compiled" {
-				hot.Promoted = true
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		hot.PromotionWaitSeconds = time.Since(waitStart).Seconds()
-		led2, lerr := scrapeTierLedger(client, cfg.BaseURL)
-		if lerr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key mode: tier ledger scrape: %w", lerr)
-		}
-		after, afterElapsed := runPhase()
-		led3, lerr := scrapeTierLedger(client, cfg.BaseURL)
-		if lerr != nil {
-			return nil, fmt.Errorf("loadgen: hot-key mode: tier ledger scrape: %w", lerr)
-		}
-		hot.NsPerSampleAfter = led3.compiledNsPerSample(led2)
-		hot.ClientNsPerSampleAfter = clientNsPer(after)
-		if hot.NsPerSampleAfter > 0 {
-			hot.Improvement = hot.NsPerSampleBefore / hot.NsPerSampleAfter
-		}
-		workers = append(workers, after...)
-		elapsed += afterElapsed // promotion wait excluded: throughput reflects load phases only
+		}(&workers[c])
 	}
+	wg.Wait()
+	elapsed := time.Since(start)
 
 	report := &LoadReport{
 		Target:          cfg.BaseURL,
@@ -453,7 +328,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		report.SamplesPerSecond = float64(report.Samples) / elapsed.Seconds()
 	}
 	report.Latency = summarize(lats)
-	report.HotKey = hot
 	// Reconcile the prefetch ledger against the daemon's own /metrics (a
 	// daemon that doesn't expose the series — or is unreachable now —
 	// just leaves the fields zero; the load counters above are already
@@ -543,107 +417,37 @@ func stageBreakdowns(records []reqRecord, daemon stageLedger) map[string]StageBr
 	return out
 }
 
-// scrapeCounters sums the per-σ prefetch hit/miss counters and the
-// per-endpoint cancellation counter from the daemon's Prometheus
-// exposition.
-func scrapeCounters(client *http.Client, baseURL string) (hits, misses, cancelled uint64, err error) {
+// scrapeMetrics fetches and parses the daemon's /metrics exposition.
+func scrapeMetrics(client *http.Client, baseURL string) ([]obs.Sample, error) {
 	resp, err := client.Get(baseURL + "/metrics")
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
+	}
+	return obs.ParseMetrics(io.LimitReader(resp.Body, 16<<20))
+}
+
+// scrapeCounters sums the per-σ prefetch hit/miss counters and the
+// per-endpoint cancellation counter from the daemon's /metrics.
+func scrapeCounters(client *http.Client, baseURL string) (hits, misses, cancelled uint64, err error) {
+	samples, err := scrapeMetrics(client, baseURL)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		var dst *uint64
-		switch {
-		case strings.HasPrefix(line, "ctgaussd_prefetch_hits_total{"):
-			dst = &hits
-		case strings.HasPrefix(line, "ctgaussd_prefetch_misses_total{"):
-			dst = &misses
-		case strings.HasPrefix(line, "ctgaussd_requests_cancelled_total{"):
-			dst = &cancelled
-		default:
-			continue
+	for _, s := range samples {
+		switch s.Name {
+		case "ctgaussd_prefetch_hits_total":
+			hits += uint64(s.Value)
+		case "ctgaussd_prefetch_misses_total":
+			misses += uint64(s.Value)
+		case "ctgaussd_requests_cancelled_total":
+			cancelled += uint64(s.Value)
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		v, perr := strconv.ParseUint(fields[1], 10, 64)
-		if perr != nil {
-			continue
-		}
-		*dst += v
 	}
 	return hits, misses, cancelled, nil
-}
-
-// tierLedger is one scrape of the daemon's per-tier sampling ledgers:
-// cumulative samples and in-sampler seconds for each tier.
-type tierLedger struct {
-	compiledSamples, convolvedSamples uint64
-	compiledSeconds, convolvedSeconds float64
-}
-
-// convolvedNsPerSample is the convolved tier's mean in-sampler cost per
-// sample over the interval from prev to l (0 with no samples).
-func (l tierLedger) convolvedNsPerSample(prev tierLedger) float64 {
-	ds := l.convolvedSamples - prev.convolvedSamples
-	if ds == 0 {
-		return 0
-	}
-	return (l.convolvedSeconds - prev.convolvedSeconds) * 1e9 / float64(ds)
-}
-
-// compiledNsPerSample is the compiled tier's counterpart.
-func (l tierLedger) compiledNsPerSample(prev tierLedger) float64 {
-	ds := l.compiledSamples - prev.compiledSamples
-	if ds == 0 {
-		return 0
-	}
-	return (l.compiledSeconds - prev.compiledSeconds) * 1e9 / float64(ds)
-}
-
-// scrapeTierLedger reads ctgaussd_tier_samples_total and
-// ctgaussd_tier_sample_seconds_total for both tiers from /metrics.
-func scrapeTierLedger(client *http.Client, baseURL string) (tierLedger, error) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return tierLedger{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return tierLedger{}, err
-	}
-	var led tierLedger
-	seen := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		switch fields[0] {
-		case `ctgaussd_tier_samples_total{tier="compiled"}`:
-			led.compiledSamples, _ = strconv.ParseUint(fields[1], 10, 64)
-		case `ctgaussd_tier_samples_total{tier="convolved"}`:
-			led.convolvedSamples, _ = strconv.ParseUint(fields[1], 10, 64)
-		case `ctgaussd_tier_sample_seconds_total{tier="compiled"}`:
-			led.compiledSeconds, _ = strconv.ParseFloat(fields[1], 64)
-		case `ctgaussd_tier_sample_seconds_total{tier="convolved"}`:
-			led.convolvedSeconds, _ = strconv.ParseFloat(fields[1], 64)
-		default:
-			continue
-		}
-		seen++
-	}
-	if seen != 4 {
-		return tierLedger{}, fmt.Errorf("daemon exposes no per-tier sampling ledger (%d/4 series found)", seen)
-	}
-	return led, nil
 }
 
 // stageLedger is one scrape of the daemon's per-stage request-time
@@ -673,63 +477,25 @@ func (l stageLedger) delta(prev stageLedger) stageLedger {
 // yet (the caller gates on /healthz's trace flag instead), and the
 // exposition skips empty histograms.
 func scrapeStageLedger(client *http.Client, baseURL string) (stageLedger, error) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	samples, err := scrapeMetrics(client, baseURL)
 	if err != nil {
 		return nil, err
 	}
 	led := make(stageLedger)
-	for _, line := range strings.Split(string(data), "\n") {
-		isSum := strings.HasPrefix(line, "ctgaussd_stage_seconds_sum{")
-		isCount := strings.HasPrefix(line, "ctgaussd_stage_seconds_count{")
-		if !isSum && !isCount {
-			continue
-		}
-		stage, ok := labelValue(line, "stage")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
+	for _, s := range samples {
+		stage := s.Labels["stage"]
 		e := led[stage]
-		if isSum {
-			v, perr := strconv.ParseFloat(fields[1], 64)
-			if perr != nil {
-				continue
-			}
-			e.seconds += v
-		} else {
-			v, perr := strconv.ParseUint(fields[1], 10, 64)
-			if perr != nil {
-				continue
-			}
-			e.count += v
+		switch s.Name {
+		case "ctgaussd_stage_seconds_sum":
+			e.seconds += s.Value
+		case "ctgaussd_stage_seconds_count":
+			e.count += uint64(s.Value)
+		default:
+			continue
 		}
 		led[stage] = e
 	}
 	return led, nil
-}
-
-// labelValue extracts one label's quoted value from a Prometheus sample
-// line.
-func labelValue(line, label string) (string, bool) {
-	marker := label + `="`
-	i := strings.Index(line, marker)
-	if i < 0 {
-		return "", false
-	}
-	rest := line[i+len(marker):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return "", false
-	}
-	return rest[:j], true
 }
 
 // errHTTP marks a non-2xx response (the body's error message, if any,
@@ -769,37 +535,6 @@ func retryDelay(base time.Duration, attempt int, err error) time.Duration {
 		d = he.retryAfter
 	}
 	return d
-}
-
-// probeTierState reads σ's tier state from /healthz.  An untracked key
-// reads "convolved"; a daemon running without the tier controller is an
-// error (hot-key mode cannot mean anything against it).
-func probeTierState(client *http.Client, baseURL string, sigma float64) (string, error) {
-	resp, err := client.Get(baseURL + "/healthz")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var hr struct {
-		Tier *struct {
-			Keys []struct {
-				Sigma float64 `json:"sigma"`
-				State string  `json:"state"`
-			} `json:"keys"`
-		} `json:"tier"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		return "", err
-	}
-	if hr.Tier == nil {
-		return "", fmt.Errorf("daemon runs without tiering (start it with -tier-promote-rps)")
-	}
-	for _, k := range hr.Tier.Keys {
-		if k.Sigma == sigma {
-			return k.State, nil
-		}
-	}
-	return "convolved", nil
 }
 
 // probeFeatures asks /healthz which optional endpoint groups the daemon
@@ -867,7 +602,7 @@ func signOnce(client *http.Client, cfg LoadConfig) (string, error) {
 	return resp.Signature, nil
 }
 
-func doRequest(client *http.Client, cfg LoadConfig, endpoint, sigB64 string, w *loadWorker) (*respMeta, error) {
+func doRequest(client *http.Client, cfg LoadConfig, endpoint string, arbSigma float64, sigB64 string, w *loadWorker) (*respMeta, error) {
 	switch endpoint {
 	case "samples":
 		var resp samplesResponse
@@ -885,17 +620,9 @@ func doRequest(client *http.Client, cfg LoadConfig, endpoint, sigB64 string, w *
 		w.samples += len(resp.Samples)
 		return meta, nil
 	case "arbitrary":
-		sigma := 3.3
-		if cfg.Sigma != "" {
-			var perr error
-			sigma, perr = strconv.ParseFloat(cfg.Sigma, 64)
-			if perr != nil {
-				return nil, fmt.Errorf("arbitrary mode needs a decimal -sigma: %w", perr)
-			}
-		}
 		var resp arbitraryResponse
 		meta, err := postJSON(client, cfg.BaseURL+"/v1/arbitrary",
-			arbitraryRequest{Count: cfg.Count, Sigma: sigma, Mu: cfg.Mu}, &resp)
+			arbitraryRequest{Count: cfg.Count, Sigma: arbSigma, Mu: cfg.Mu}, &resp)
 		if err != nil {
 			if he, ok := err.(*errHTTP); ok && he.status == http.StatusTooManyRequests {
 				w.rejected++

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -15,57 +14,6 @@ import (
 	"ctgauss/internal/tier"
 )
 
-// latBuckets is the number of power-of-two latency histogram buckets:
-// bucket i counts observations with ceil(log2(ns)) == i, so the range
-// [1ns, ~1.2min] is covered with ~2× resolution and no allocation on the
-// hot path.
-const latBuckets = 37
-
-// histogram is a lock-free log2-bucketed latency histogram.  Quantiles
-// are read from bucket boundaries, so they carry at most a factor-2
-// overestimate — the right precision/cost point for serving telemetry
-// (exact per-request latencies live in the load generator's report).
-type histogram struct {
-	buckets [latBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sumNs   atomic.Uint64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	if ns == 0 {
-		ns = 1
-	}
-	idx := bits.Len64(ns - 1) // ceil(log2); exact powers land on their own bucket
-	if idx >= latBuckets {
-		idx = latBuckets - 1
-	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(ns)
-}
-
-// quantile returns the q-quantile in seconds (upper bucket bound), or 0
-// with no observations.
-func (h *histogram) quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i := 0; i < latBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return float64(uint64(1)<<uint(i)) / 1e9
-		}
-	}
-	return float64(uint64(1)<<uint(latBuckets-1)) / 1e9
-}
-
 // endpointMetrics counts one endpoint's traffic.
 type endpointMetrics struct {
 	name      string
@@ -75,7 +23,7 @@ type endpointMetrics struct {
 	refused   atomic.Uint64 // 503 drain-gate refusals
 	cancelled atomic.Uint64 // requests abandoned by cancellation or deadline
 	inflight  atomic.Int64
-	lat       histogram
+	lat       obs.Histogram // request latency, log2 buckets
 }
 
 // metrics is the server-wide counter set exported at /metrics.
@@ -90,7 +38,7 @@ type metrics struct {
 	// The nanos ledgers hold the time spent inside the sampler call
 	// itself (pool.Take or arb.NextBatch) — transport excluded — so
 	// Δseconds/Δsamples is the serving-path sampling cost a promotion
-	// changes, comparable across tiers and with BENCH_PR4's numbers.
+	// changes, comparable across tiers.
 	tierCompiledSamples  atomic.Uint64
 	tierConvolvedSamples atomic.Uint64
 	tierCompiledNanos    atomic.Uint64
@@ -272,12 +220,12 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 
 	f = ps.family("ctgaussd_latency_seconds", "gauge", "Request latency quantiles per endpoint (log2-bucket upper bounds).")
 	for _, e := range m.endpoints {
+		lat := e.lat.Snapshot()
 		for _, q := range []float64{0.5, 0.99} {
-			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=%q}", e.name, fmt.Sprintf("%g", q)), "%g", e.lat.quantile(q))
+			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=%q}", e.name, fmt.Sprintf("%g", q)), "%g", float64(lat.Quantile(q))/1e9)
 		}
-		count := e.lat.count.Load()
-		if count > 0 {
-			mean := float64(e.lat.sumNs.Load()) / float64(count) / 1e9
+		if lat.Count > 0 {
+			mean := float64(lat.SumNs) / float64(lat.Count) / 1e9
 			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=\"mean\"}", e.name), "%g", mean)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -137,24 +136,15 @@ func TestStageHistogramsReconcile(t *testing.T) {
 	// A stage nothing exercised (e.g. route on the precompiled path) has
 	// no observations, and empty histograms are skipped in the scrape —
 	// read it as zero rather than requiring the series.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	exposition, err := io.ReadAll(mresp.Body)
+	samples, err := scrapeMetrics(http.DefaultClient, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := func(stage string) float64 {
-		series := fmt.Sprintf("ctgaussd_stage_seconds_sum{stage=%q,endpoint=\"samples\"} ", stage)
-		for _, line := range strings.Split(string(exposition), "\n") {
-			if strings.HasPrefix(line, series) {
-				v, perr := strconv.ParseFloat(strings.TrimPrefix(line, series), 64)
-				if perr != nil {
-					t.Fatalf("parsing %s: %v", series, perr)
-				}
-				return v
+		series := fmt.Sprintf("ctgaussd_stage_seconds_sum{stage=%q,endpoint=\"samples\"}", stage)
+		for _, s := range samples {
+			if s.Series == series {
+				return s.Value
 			}
 		}
 		return 0

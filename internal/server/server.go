@@ -90,9 +90,10 @@ type Config struct {
 	// TierPromoteRPS enables hot-(σ, μ=0) tiering when > 0: free-form σ
 	// keys whose sliding-window sample rate reaches this threshold are
 	// promoted in the background onto direct compiled pools (the
-	// convolved tier costs 4–20× more per sample — see BENCH_PR4 vs
-	// BENCH_PR8).  0 disables the tier controller entirely.  Requires the
-	// arbitrary layer (DisableArbitrary=false).
+	// convolved tier costs 4–20× more per sample; /metrics exposes both
+	// tiers' costs as ctgaussd_tier_sample_seconds_total).  0 disables
+	// the tier controller entirely.  Requires the arbitrary layer
+	// (DisableArbitrary=false).
 	TierPromoteRPS float64
 	// TierDemoteRPS is the demotion threshold (default TierPromoteRPS/4;
 	// the hysteresis band prevents build/drain thrash).
@@ -576,7 +577,7 @@ func (s *Server) endpoint(name string, h http.HandlerFunc) http.Handler {
 		defer em.inflight.Add(-1)
 		start := time.Now()
 		h(rec, r)
-		em.lat.observe(time.Since(start))
+		em.lat.Observe(time.Since(start).Nanoseconds())
 		// 499s are client departures, not server faults; they have their
 		// own counter.
 		if rec.status >= 400 && rec.status != statusClientClosedRequest {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -98,27 +96,18 @@ func drawSamples(t *testing.T, baseURL string, count int) []int {
 	return sr.Samples
 }
 
-// scrapeMetric fetches /metrics and returns the value of the series with
-// the exact name-and-labels prefix, e.g.
-// `ctgaussd_requests_total{endpoint="samples"}`.
+// scrapeMetric fetches /metrics and returns the value of the series
+// exactly as exposed, e.g. `ctgaussd_requests_total{endpoint="samples"}`.
 func scrapeMetric(t *testing.T, baseURL, series string) float64 {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics")
+	samples, err := scrapeMetrics(http.DefaultClient, baseURL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, series+" ") {
-			continue
+	for _, s := range samples {
+		if s.Series == series {
+			return s.Value
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, series)), 64)
-		if err != nil {
-			t.Fatalf("parsing series %s: %v", series, err)
-		}
-		return v
 	}
 	t.Fatalf("series %s not found in /metrics", series)
 	return 0
@@ -578,6 +567,23 @@ func TestLoadGenFalconDisabled(t *testing.T) {
 	}
 	if _, err := RunLoad(LoadConfig{BaseURL: ts.URL, Mode: "sign", Clients: 1, Requests: 1}); err == nil {
 		t.Fatal("sign mode against sampling-only daemon should refuse to start")
+	}
+}
+
+// TestLoadGenRejectsNonDecimalSigma pins that arbitrary-mode σ is parsed
+// once up front: a non-decimal -sigma fails the run before any load
+// request, rather than turning every request into an error.
+func TestLoadGenRejectsNonDecimalSigma(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.FalconKey = nil
+		c.FalconN = 0
+	})
+	report, err := RunLoad(LoadConfig{BaseURL: ts.URL, Mode: "arbitrary", Clients: 2, Requests: 5, Sigma: "abc"})
+	if err == nil {
+		t.Fatalf("non-decimal σ accepted: %+v", report)
+	}
+	if v := scrapeMetric(t, ts.URL, `ctgaussd_requests_total{endpoint="arbitrary"}`); v != 0 {
+		t.Fatalf("%g arbitrary requests sent before σ was rejected", v)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package tier implements hot-(σ, μ=0) tiering for the arbitrary
 // serving layer: a promotion controller that watches per-σ sample rates
 // over a sliding window and moves hot keys from the convolved tier
-// (ctgauss.Arbitrary, 363–1513 ns/sample in BENCH_PR4) onto direct
-// compiled pools (63–89 ns/sample) built in the background — the same
+// (ctgauss.Arbitrary, 363–1513 ns/sample) onto direct compiled pools
+// (63–89 ns/sample) built in the background — the same
 // promote-hot-keys-to-the-fast-path shape an inference cache uses.
 //
 // The controller never serves samples itself.  The serving layer feeds
