@@ -276,8 +276,8 @@ func mustParse(s string) float64 {
 
 // sweepHTTP mounts a ctgaussd serving layer under httptest and sweeps
 // the served surface end to end: precompiled /v1/samples pools, the
-// free-form σ fallback, and /v1/arbitrary — coalescers, admission and
-// JSON codecs included.
+// free-form σ fallback, and /v1/arbitrary — admission and JSON codecs
+// included.
 func sweepHTTP(opt GridOptions, rep *GridReport) error {
 	srv, err := server.New(server.Config{
 		Sigmas:          gen.Sigmas(),

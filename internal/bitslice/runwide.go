@@ -92,8 +92,8 @@ func (o *Optimized) RunInto(inputs, slots, out []uint64) {
 // At widths 8 and 16 the active SIMD backend (dispatch package), if
 // any, interprets the packed op stream in assembly; every backend
 // computes the identical word stream, so the selection is invisible
-// beyond speed.  Otherwise widths 4 and 8 take fixed-width Go
-// specializations and remaining widths the generic loop.
+// beyond speed.  Otherwise width 8 takes a fixed-width Go
+// specialization and remaining widths the generic loop.
 func (o *Optimized) RunWideInto(w int, inputs, slots, out []uint64) {
 	o.checkRunArgs(w, inputs, slots, out)
 	if (w == 8 || w == 16) && o.runSIMD(w, inputs, slots, out) {
@@ -102,114 +102,10 @@ func (o *Optimized) RunWideInto(w int, inputs, slots, out []uint64) {
 	switch w {
 	case 1:
 		o.RunInto(inputs, slots, out)
-	case 4:
-		o.runWide4(inputs, slots, out)
 	case 8:
 		o.runWide8(inputs, slots, out)
 	default:
 		o.runWideGeneric(w, inputs, slots, out)
-	}
-}
-
-func (o *Optimized) runWide4(inputs, slots, out []uint64) {
-	const w = 4
-	copy(slots[:o.NumInputs*w], inputs)
-	if o.ZeroSlot >= 0 {
-		z := (*[w]uint64)(slots[int(o.ZeroSlot)*w:])
-		for j := range z {
-			z[j] = 0
-		}
-	}
-	if o.OnesSlot >= 0 {
-		n := (*[w]uint64)(slots[int(o.OnesSlot)*w:])
-		for j := range n {
-			n[j] = ^uint64(0)
-		}
-	}
-	for _, in := range o.Code {
-		a := (*[w]uint64)(slots[int(in.A)*w:])
-		b := (*[w]uint64)(slots[int(in.B)*w:])
-		d := (*[w]uint64)(slots[int(in.Dst)*w:])
-		if in.Op <= OpOnes {
-			switch in.Op {
-			case OpAnd:
-				d[0] = a[0] & b[0]
-				d[1] = a[1] & b[1]
-				d[2] = a[2] & b[2]
-				d[3] = a[3] & b[3]
-			case OpOr:
-				d[0] = a[0] | b[0]
-				d[1] = a[1] | b[1]
-				d[2] = a[2] | b[2]
-				d[3] = a[3] | b[3]
-			case OpXor:
-				d[0] = a[0] ^ b[0]
-				d[1] = a[1] ^ b[1]
-				d[2] = a[2] ^ b[2]
-				d[3] = a[3] ^ b[3]
-			case OpNot:
-				d[0] = ^a[0]
-				d[1] = ^a[1]
-				d[2] = ^a[2]
-				d[3] = ^a[3]
-			case OpAndNot:
-				d[0] = a[0] &^ b[0]
-				d[1] = a[1] &^ b[1]
-				d[2] = a[2] &^ b[2]
-				d[3] = a[3] &^ b[3]
-			}
-		} else if in.Op <= opAndNotAnd {
-			c := (*[w]uint64)(slots[int(in.C)*w:])
-			switch in.Op {
-			case opAndOr:
-				d[0] = c[0] | (a[0] & b[0])
-				d[1] = c[1] | (a[1] & b[1])
-				d[2] = c[2] | (a[2] & b[2])
-				d[3] = c[3] | (a[3] & b[3])
-			case opAndNotOr:
-				d[0] = c[0] | (a[0] &^ b[0])
-				d[1] = c[1] | (a[1] &^ b[1])
-				d[2] = c[2] | (a[2] &^ b[2])
-				d[3] = c[3] | (a[3] &^ b[3])
-			case opOrOr:
-				d[0] = c[0] | (a[0] | b[0])
-				d[1] = c[1] | (a[1] | b[1])
-				d[2] = c[2] | (a[2] | b[2])
-				d[3] = c[3] | (a[3] | b[3])
-			case opAndAnd:
-				d[0] = c[0] & (a[0] & b[0])
-				d[1] = c[1] & (a[1] & b[1])
-				d[2] = c[2] & (a[2] & b[2])
-				d[3] = c[3] & (a[3] & b[3])
-			case opOrAnd:
-				d[0] = c[0] & (a[0] | b[0])
-				d[1] = c[1] & (a[1] | b[1])
-				d[2] = c[2] & (a[2] | b[2])
-				d[3] = c[3] & (a[3] | b[3])
-			case opAndNotAnd:
-				d[0] = c[0] & (a[0] &^ b[0])
-				d[1] = c[1] & (a[1] &^ b[1])
-				d[2] = c[2] & (a[2] &^ b[2])
-				d[3] = c[3] & (a[3] &^ b[3])
-			}
-		} else {
-			c := (*[w]uint64)(slots[int(in.C)*w:])
-			switch in.Op {
-			case opAndAndNot:
-				d[0] = (a[0] & b[0]) &^ c[0]
-				d[1] = (a[1] & b[1]) &^ c[1]
-				d[2] = (a[2] & b[2]) &^ c[2]
-				d[3] = (a[3] & b[3]) &^ c[3]
-			case opAndNotAndNot:
-				d[0] = (a[0] &^ b[0]) &^ c[0]
-				d[1] = (a[1] &^ b[1]) &^ c[1]
-				d[2] = (a[2] &^ b[2]) &^ c[2]
-				d[3] = (a[3] &^ b[3]) &^ c[3]
-			}
-		}
-	}
-	for i, s := range o.Outputs {
-		copy(out[i*w:(i+1)*w], slots[int(s)*w:int(s+1)*w])
 	}
 }
 

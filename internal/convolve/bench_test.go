@@ -71,7 +71,7 @@ func BenchmarkEvalLane(b *testing.B) {
 	p := s.planOf(17.5)
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		z, acc := evalLane(p, 0.375, int64(i%91)-45, uint64(i)*0x9e3779b97f4a7c15)
+		z, acc := evalLane(&p, 0.375, int64(i%91)-45, uint64(i)*0x9e3779b97f4a7c15)
 		sink += z + int64(acc)
 	}
 	_ = sink

@@ -159,15 +159,14 @@ type Sampler struct {
 	set        *registry.SetArtifact
 	baseSigmas []float64
 	menu       []*recipe // admissible ladder recipes, sorted by width
+	terms      [][]term  // menu[i] flattened, shared by every plan it serves
 	shards     []*shard
 	engines    []*engine.Engine[int] // one per base member
 	baseBits   []uint64              // random bits per refill, per base member
 	ctr        atomic.Uint64
 
-	plans     sync.Map // math.Float64bits(σ) → *plan
-	planCount atomic.Uint64
-	trials    atomic.Uint64
-	accepted  atomic.Uint64
+	trials   atomic.Uint64
+	accepted atomic.Uint64
 }
 
 // New compiles (or loads) the base set as one registry artifact and
@@ -195,7 +194,7 @@ func New(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("convolve: building base set: %w", err)
 	}
-	menu := buildMenu(sigmas, cfg.MaxSigma)
+	menu, terms := buildMenu(sigmas, cfg.MaxSigma)
 	// The admissible range is what the menu can dominate: a narrow base
 	// set (small members bound the ladder coefficients) may top out
 	// below the configured MaxSigma, and a request beyond the widest
@@ -204,7 +203,7 @@ func New(cfg Config) (*Sampler, error) {
 	if widest := menu[len(menu)-1].width; cfg.MaxSigma > widest {
 		cfg.MaxSigma = widest
 	}
-	s := &Sampler{cfg: cfg, set: set, baseSigmas: sigmas, menu: menu, shards: make([]*shard, cfg.Shards)}
+	s := &Sampler{cfg: cfg, set: set, baseSigmas: sigmas, menu: menu, terms: terms, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
 		src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i, coinRole))
 		if err != nil {
@@ -298,19 +297,6 @@ func shardSeed(seed []byte, shard, role int) []byte {
 	return h.Sum(nil)
 }
 
-// planOf returns the cached plan for sigma, computing it on first use.
-func (s *Sampler) planOf(sigma float64) *plan {
-	key := math.Float64bits(sigma)
-	if p, ok := s.plans.Load(key); ok {
-		return p.(*plan)
-	}
-	p := planFor(sigma, s.menu)
-	if _, loaded := s.plans.LoadOrStore(key, &p); !loaded {
-		s.planCount.Add(1)
-	}
-	return &p
-}
-
 // check validates one request.
 func (s *Sampler) check(sigma, mu float64) error {
 	if math.IsNaN(sigma) || sigma < s.cfg.MinSigma || sigma > s.cfg.MaxSigma {
@@ -381,7 +367,7 @@ func (s *Sampler) NextBatchContext(ctx context.Context, sigma, mu float64, dst [
 		var n int
 		var err error
 		for k := 0; k < len(s.shards); k++ {
-			n, err = s.tryBlock(ctx, (start+k)%len(s.shards), p, r, off, w, dst[written:])
+			n, err = s.tryBlock(ctx, (start+k)%len(s.shards), &p, r, off, w, dst[written:])
 			if err == nil || !errors.Is(err, engine.ErrShardPoisoned) {
 				break
 			}
@@ -527,7 +513,7 @@ func (s *Sampler) RoundProbe(sigma, mu float64) (probe func(x int64, coin uint64
 	p := s.planOf(sigma)
 	r := mu - math.Floor(mu)
 	return func(x int64, coin uint64) (int64, uint64) {
-		return evalLane(p, r, x, coin)
+		return evalLane(&p, r, x, coin)
 	}, p.SigmaP, nil
 }
 
@@ -539,7 +525,6 @@ type Stats struct {
 	FromCache  bool   // base set loaded from the registry's disk cache
 	Trials     uint64 // combine/round trials evaluated
 	Accepted   uint64 // trials accepted (≥ samples handed out)
-	Plans      uint64 // distinct σ values planned
 }
 
 // AcceptRate returns Accepted/Trials (0 before any trial).
@@ -559,7 +544,6 @@ func (s *Sampler) Stats() Stats {
 		FromCache:  s.set.FromDisk,
 		Trials:     s.trials.Load(),
 		Accepted:   s.accepted.Load(),
-		Plans:      s.planCount.Load(),
 	}
 }
 

@@ -145,8 +145,8 @@ func TestEvalLaneMatchesReference(t *testing.T) {
 			for trial := 0; trial < 2000; trial++ {
 				x := rng.Int63n(2*span+1) - span
 				coin := rng.Uint64()
-				z, acc := evalLane(p, r, x, coin)
-				zRef, pAcc := refLane(p, r, x, coin)
+				z, acc := evalLane(&p, r, x, coin)
+				zRef, pAcc := refLane(&p, r, x, coin)
 				if z != zRef {
 					t.Fatalf("σ=%g r=%g: z=%d, reference %d", sigma, r, z, zRef)
 				}
@@ -257,7 +257,7 @@ func TestCombineRoundTimingDudect(t *testing.T) {
 	mk := func(xs []int64, cs []uint64) func() {
 		i := 0
 		return func() {
-			z, acc := evalLane(p, 0.375, xs[i&(n-1)], cs[i&(n-1)])
+			z, acc := evalLane(&p, 0.375, xs[i&(n-1)], cs[i&(n-1)])
 			sink += z + int64(acc)
 			i++
 		}
@@ -383,7 +383,7 @@ func TestConcurrentDraws(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Plans == 0 || st.Trials == 0 {
+	if st := s.Stats(); st.Trials == 0 {
 		t.Fatalf("stats not accumulating: %+v", st)
 	}
 }

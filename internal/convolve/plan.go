@@ -31,8 +31,9 @@ import (
 // unrepresentable by construction.
 //
 // Plans depend only on the public request parameter σ, never on sampled
-// values, so plan selection may branch freely; selections are cached
-// per σ bits in the sampler.
+// values, so plan selection may branch freely.  It is a binary search
+// over the menu, whose recipes are flattened once at construction, so
+// a plan is rebuilt per request and the sampler keeps no per-σ state.
 
 // term is one flattened ladder leaf: coefficient × base member.
 type term struct {
@@ -43,7 +44,7 @@ type term struct {
 type plan struct {
 	Sigma  float64 // target σ
 	SigmaP float64 // proposal width ≥ σ
-	Terms  []term  // draw list of one trial, fixed order
+	Terms  []term  // draw list of one trial, fixed order (the menu's; read only)
 
 	invTwoSigmaSq  float64 // 1/(2σ²)
 	invTwoSigmaPSq float64 // 1/(2σ_p²)
@@ -92,8 +93,10 @@ const (
 
 // buildMenu enumerates admissible ladder recipes over the base widths up
 // to ~1.5× maxSigma and keeps, per 2% width bucket, the cheapest (then
-// narrowest) recipe, sorted by width.
-func buildMenu(baseSigmas []float64, maxSigma float64) []*recipe {
+// narrowest) recipe, sorted by width.  terms[i] is menu[i] flattened.
+// The enumeration allocates millions of recipes, so the terms are kept
+// beside the menu rather than in a recipe field.
+func buildMenu(baseSigmas []float64, maxSigma float64) (menu []*recipe, terms [][]term) {
 	limit := maxSigma * 1.5
 	logRatio := math.Log(menuBucketRatio)
 	bucketOf := func(w float64) int { return int(math.Log(w) / logRatio) }
@@ -145,30 +148,35 @@ func buildMenu(baseSigmas []float64, maxSigma float64) []*recipe {
 			}
 		}
 	}
-	return snapshot()
+	menu = snapshot()
+	terms = make([][]term, len(menu))
+	for i, rc := range menu {
+		terms[i] = rc.flatten(1, nil)
+	}
+	return menu, terms
 }
 
-// planFor selects the narrowest dominating recipe for sigma.  The menu
+// planOf selects the narrowest dominating recipe for sigma.  The menu
 // always contains the base leaves, the smallest leaf dominates every σ
-// below it, and the sampler clamps its MaxSigma to the widest recipe at
-// construction, so a dominating recipe exists for every admissible σ.
-func planFor(sigma float64, menu []*recipe) plan {
-	i := sort.Search(len(menu), func(i int) bool { return menu[i].width >= sigma })
-	if i == len(menu) {
+// below it, and New clamps MaxSigma to the widest recipe, so a
+// dominating recipe exists for every admissible σ.  It runs once per
+// request and allocates nothing: the terms are the menu's own.
+func (s *Sampler) planOf(sigma float64) plan {
+	i := sort.Search(len(s.menu), func(i int) bool { return s.menu[i].width >= sigma })
+	if i == len(s.menu) {
 		// Unreachable for admissible σ (see the MaxSigma clamp in New);
 		// serving a narrower proposal would emit the wrong distribution,
 		// so fail loudly rather than fall back.
-		panic(fmt.Sprintf("convolve: no recipe dominates σ=%g (menu tops out at %g)", sigma, menu[len(menu)-1].width))
+		panic(fmt.Sprintf("convolve: no recipe dominates σ=%g (menu tops out at %g)", sigma, s.menu[len(s.menu)-1].width))
 	}
-	rc := menu[i]
-	p := plan{
-		Sigma:  sigma,
-		SigmaP: rc.width,
-		Terms:  rc.flatten(1, nil),
+	rc := s.menu[i]
+	return plan{
+		Sigma:          sigma,
+		SigmaP:         rc.width,
+		Terms:          s.terms[i],
+		invTwoSigmaSq:  1 / (2 * sigma * sigma),
+		invTwoSigmaPSq: 1 / (2 * rc.width * rc.width),
 	}
-	p.invTwoSigmaSq = 1 / (2 * sigma * sigma)
-	p.invTwoSigmaPSq = 1 / (2 * p.SigmaP * p.SigmaP)
-	return p
 }
 
 // Tail bound used by ctExpThreshold's exact-conversion argument: the

@@ -1,7 +1,7 @@
 // Package engine is the unified asynchronous refill runtime under every
-// sharded serving surface in this repo: ctgauss.Pool, ctgauss.Arbitrary
-// (the convolution layer's base draws), falcon.SignerPool, and the
-// ctgaussd request coalescers.
+// sharded serving surface in this repo: ctgauss.Pool (and with it every
+// ctgaussd σ pool), ctgauss.Arbitrary (the convolution layer's base
+// draws), and falcon.SignerPool.
 //
 // The paper's speed claim rests on keeping the bitsliced lanes full — a
 // circuit evaluation amortizes only when all W×64 lanes of a refill are

@@ -114,6 +114,14 @@ func decompressCoeffs(data []byte, n int) ([]int16, error) {
 		}
 		out[i] = int16(v)
 	}
+	// Only the canonical encoding decodes, as in Falcon's reference
+	// decoder: the payload ends in the byte holding the last coefficient's
+	// final bit, and that byte's unused low bits are zero.  Otherwise
+	// distinct byte strings would carry the same valid signature.
+	pad := (8 - r.n%8) % 8
+	if (r.n+7)/8 != uint(len(data)) || data[len(data)-1]&(1<<pad-1) != 0 {
+		return nil, fmt.Errorf("falcon: non-canonical signature payload")
+	}
 	return out, nil
 }
 

@@ -3,7 +3,9 @@ package falcon
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -252,6 +254,59 @@ func TestSignatureCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSignature(enc[:10]); err == nil {
 		t.Fatal("truncated signature decoded")
+	}
+}
+
+// payloadBits is the bit length of compressCoeffs(cs): per coefficient
+// a sign bit, 7 low bits, the unary high part and its terminator.
+func payloadBits(cs []int16) int {
+	bits := 0
+	for _, c := range cs {
+		v := int(c)
+		if v < 0 {
+			v = -v
+		}
+		bits += 9 + v>>7
+	}
+	return bits
+}
+
+// malleate returns two re-encodings of enc that a decoder ignoring the
+// payload's tail would accept: one byte appended with the length field
+// bumped to cover it, and the last byte's lowest bit set (an unused
+// padding bit when the payload does not end on a byte boundary).
+func malleate(enc []byte) map[string][]byte {
+	appended := append(append([]byte(nil), enc...), 0)
+	binary.BigEndian.PutUint16(appended[SaltLen+2:], binary.BigEndian.Uint16(enc[SaltLen+2:])+1)
+	padded := append([]byte(nil), enc...)
+	padded[len(padded)-1] |= 1
+	return map[string][]byte{"trailing byte": appended, "padding bit": padded}
+}
+
+// TestDecodeSignatureRejectsMalleable pins canonical decoding: a valid
+// signature with a byte appended, or with a padding bit set, is a
+// different byte string and must not decode to a signature that
+// verifies.
+func TestDecodeSignatureRejectsMalleable(t *testing.T) {
+	sk := testKey(t, 256)
+	signer, _ := NewSignerWithKind(sk, BaseBitsliced, []byte("malleable"))
+	var msg []byte
+	var sig *Signature
+	for i := 0; sig == nil || payloadBits(sig.S1)%8 == 0; i++ {
+		msg = []byte(fmt.Sprintf("message %d", i))
+		var err error
+		if sig, err = signer.Sign(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := sig.Encode()
+	if dec, err := DecodeSignature(enc); err != nil || sk.Public().Verify(msg, dec) != nil {
+		t.Fatalf("genuine signature: decode %v", err)
+	}
+	for name, m := range malleate(enc) {
+		if _, err := DecodeSignature(m); err == nil {
+			t.Errorf("%s: malleated signature decoded", name)
+		}
 	}
 }
 

@@ -5,134 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ctgauss"
 	"ctgauss/internal/obs"
 )
-
-// arbco fronts the arbitrary-(σ, μ) sampler for the HTTP layer.  Unlike
-// the per-σ coalescer — which exists because a Pool's native granularity
-// is a fixed 64-sample batch — the convolution layer compacts accepted
-// candidates, so every request is served exactly with no leftover to
-// cursor.  Coalescing is therefore keyed by base set rather than per σ:
-// all arbitrary requests, whatever their (σ, μ), share the one compiled
-// base set, whose sharded wide samplers batch refills 512 lanes at a
-// time across concurrent requests.  This wrapper adds the serving
-// ledger: request/sample counters and a bounded per-σ sample-count map
-// — the rate signal the tier controller promotes on, exported per σ on
-// /metrics (the overflow flag keeps the series honest past the cap).
-type arbco struct {
-	arb *ctgauss.Arbitrary
-
-	samples atomic.Uint64
-
-	mu            sync.Mutex
-	sigmas        map[float64]uint64 // per-σ served samples, both tiers
-	sigmaOverflow bool
-}
-
-// arbSigmaTrackLimit bounds the per-σ counter map (an adversarial
-// client must not grow server memory without bound).
-const arbSigmaTrackLimit = 4096
-
-func newArbco(arb *ctgauss.Arbitrary) *arbco {
-	return &arbco{arb: arb, sigmas: make(map[float64]uint64)}
-}
-
-// degraded reports whether any shard of the arbitrary layer's base
-// engines is poisoned.  The serving layer sheds /v1/arbitrary load
-// while degraded — the free-form path fails over like the pools do,
-// but its trial blocks draw every base stream, so shedding it first
-// preserves the precompiled pools' capacity during a restart.  (Keys
-// already promoted to the compiled tier keep serving: their pools do
-// not touch the base engines.)
-func (a *arbco) degraded() bool { return a.arb.Degraded() }
-
-// recordSigma advances σ's sample counter (bounded map).  Both tiers
-// record here, so the per-σ ledger — and with it the tier controller's
-// picture of what is hot — survives promotion.
-func (a *arbco) recordSigma(sigma float64, n int) {
-	a.samples.Add(uint64(n))
-	a.mu.Lock()
-	if _, ok := a.sigmas[sigma]; ok || len(a.sigmas) < arbSigmaTrackLimit {
-		a.sigmas[sigma] += uint64(n)
-	} else {
-		a.sigmaOverflow = true
-	}
-	a.mu.Unlock()
-}
-
-func (a *arbco) draw(ctx context.Context, sigma, mu float64, out []int) error {
-	if err := a.arb.NextBatchContext(ctx, sigma, mu, out); err != nil {
-		return err
-	}
-	a.recordSigma(sigma, len(out))
-	return nil
-}
-
-// sigmaSampleStat is one σ's served-sample count for the /metrics
-// scrape.
-type sigmaSampleStat struct {
-	sigma   float64
-	samples uint64
-}
-
-// arbStats joins the serving ledger with the sampler's own counters for
-// the /metrics scrape.
-type arbStats struct {
-	samples          uint64
-	distinctSigmas   int
-	sigmaOverflow    bool
-	sigmaSamples     []sigmaSampleStat // sorted by σ
-	trials, accepted uint64
-	plans            uint64
-	shards           int
-
-	producerRestarts uint64
-	refillsDiscarded uint64
-	shardsPoisoned   int
-
-	// rings is the merged per-shard base-engine ring occupancy, exported
-	// under sigma="arbitrary" with the pool ring gauges.
-	rings []ctgauss.RingStat
-}
-
-func (a *arbco) stats() arbStats {
-	a.mu.Lock()
-	distinct := len(a.sigmas)
-	overflow := a.sigmaOverflow
-	perSigma := make([]sigmaSampleStat, 0, len(a.sigmas))
-	for s, n := range a.sigmas {
-		perSigma = append(perSigma, sigmaSampleStat{sigma: s, samples: n})
-	}
-	a.mu.Unlock()
-	sort.Slice(perSigma, func(i, j int) bool { return perSigma[i].sigma < perSigma[j].sigma })
-	st := a.arb.Stats()
-	out := arbStats{
-		samples:        a.samples.Load(),
-		distinctSigmas: distinct,
-		sigmaOverflow:  overflow,
-		sigmaSamples:   perSigma,
-		trials:         st.Trials,
-		accepted:       st.Accepted,
-		plans:          st.Plans,
-		shards:         st.Shards,
-	}
-	for _, h := range a.arb.Health() {
-		out.producerRestarts += h.Restarts
-		out.refillsDiscarded += h.DiscardedRefills
-		if h.Poisoned {
-			out.shardsPoisoned++
-		}
-	}
-	out.rings = a.arb.RingStats()
-	return out
-}
 
 // tierHeader names the response header carrying the tier that served a
 // free-form request.  The routing decision is taken once per request
@@ -141,42 +18,77 @@ func (a *arbco) stats() arbStats {
 // from the named tier.
 const tierHeader = "X-Ctgauss-Tier"
 
-// tierCompiledDraw serves a μ=0 free-form request from σ's promoted
-// compiled pool if the tier controller has one.  served reports whether
-// out was filled (and the per-tier ledgers advanced); a compiled-tier
-// pool failure that is not the request's own cancellation falls back to
-// the convolved tier rather than surfacing — err is non-nil only for
-// ctx-shaped failures the caller must map to a response.
-func (s *Server) tierCompiledDraw(ctx context.Context, sigma float64, out []int) (served bool, err error) {
-	if s.tier == nil {
-		return false, nil
-	}
-	tr := tracedCtx(ctx)
-	t0 := tr.Now()
-	pool, release, ok := s.tier.Acquire(sigma)
-	tr.End(obs.StageRoute, t0)
-	if !ok {
-		return false, nil
-	}
-	defer release()
-	start := time.Now()
-	err = pool.Take(ctx, out)
-	tr.End(obs.StageCoalesce, start)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return false, err
+// serveFreeform fills out for one free-form (σ, μ) request: the flow
+// behind /v1/arbitrary and the free-form σ fallback of /v1/samples.
+// In order: the compiled tier for μ=0, the degraded shed, the
+// convolved draw, the per-tier counters, one Observe on the key table
+// and the tier header.  On failure it writes the error response and
+// returns false; on success the caller writes the body.
+//
+// All free-form requests, whatever their (σ, μ), share the one
+// compiled base set, whose sharded wide samplers batch refills across
+// concurrent requests, and the convolution layer compacts accepted
+// candidates, so every request is served exactly with no leftover.
+func (s *Server) serveFreeform(w http.ResponseWriter, r *http.Request, ep string, sigma, mu float64, out []int) bool {
+	ctx, tr := r.Context(), traceOf(w)
+	compiled := false
+	var took time.Duration
+	// A compiled circuit serves one centered σ, so only μ=0 can use a
+	// promoted pool.  Such a key skips the convolution machinery, its
+	// degraded shed included, since its pool draws no base stream.
+	if mu == 0 {
+		t0 := tr.Now()
+		pool, release, ok := s.tier.Acquire(sigma)
+		tr.End(obs.StageRoute, t0)
+		if ok {
+			start := time.Now()
+			err := pool.Take(ctx, out)
+			release()
+			took = time.Since(start)
+			tr.End(obs.StageCoalesce, start)
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				s.writeDrawError(w, ep, err)
+				return false
+			}
+			// A degraded or closing promoted pool falls back to the
+			// convolved tier silently, the way a failed build does.
+			compiled = err == nil
 		}
-		// Degraded or closing promoted pool: the convolved tier is still
-		// there — fall back silently, the way a failed build does.
-		return false, nil
 	}
-	s.m.samples.Add(uint64(len(out)))
-	s.m.tierCompiledSamples.Add(uint64(len(out)))
-	s.m.tierCompiledNanos.Add(uint64(time.Since(start).Nanoseconds()))
-	s.arb.recordSigma(sigma, len(out))
-	s.tier.Observe(sigma, len(out))
-	tr.SetTier("compiled")
-	return true, nil
+	if !compiled {
+		// A poisoned shard anywhere in the base engines sheds the
+		// free-form path first, so the precompiled pools keep their
+		// capacity while the producer restarts.
+		if s.arb.Degraded() {
+			writeUnavailable(w, "arbitrary layer degraded: a base shard is restarting")
+			return false
+		}
+		start := time.Now()
+		err := s.arb.NextBatchContext(ctx, sigma, mu, out)
+		took = time.Since(start)
+		tr.End(obs.StageCoalesce, start)
+		if err != nil {
+			s.writeDrawError(w, ep, err)
+			return false
+		}
+	}
+	n := uint64(len(out))
+	s.m.samples.Add(n)
+	tierName := "convolved"
+	if compiled {
+		tierName = "compiled"
+		s.m.tierCompiledSamples.Add(n)
+		s.m.tierCompiledNanos.Add(uint64(took.Nanoseconds()))
+	} else {
+		s.m.tierConvolvedSamples.Add(n)
+		s.m.tierConvolvedNanos.Add(uint64(took.Nanoseconds()))
+	}
+	// Both tiers observe, so a promoted key keeps looking hot and its
+	// per-σ ledger survives promotion.
+	s.tier.Observe(sigma, mu, len(out))
+	tr.SetTier(tierName)
+	w.Header().Set(tierHeader, tierName)
+	return true
 }
 
 // arbitraryRequest is the /v1/arbitrary request schema.
@@ -217,53 +129,16 @@ func (s *Server) handleArbitrary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := make([]int, req.Count)
-	// Compiled tier first (μ=0 only — a compiled circuit serves one
-	// centered σ): a promoted key skips the convolve machinery entirely,
-	// including its degraded shed, since the pool draws no base stream.
-	if req.Mu == 0 {
-		served, err := s.tierCompiledDraw(r.Context(), req.Sigma, out)
-		if err != nil {
-			s.writeDrawError(w, epArbitrary, err)
-			return
-		}
-		if served {
-			w.Header().Set(tierHeader, "compiled")
-			writeJSON(w, http.StatusOK, arbitraryResponse{Sigma: req.Sigma, Mu: req.Mu, Count: req.Count, Samples: out})
-			return
-		}
+	if s.serveFreeform(w, r, epArbitrary, req.Sigma, req.Mu, out) {
+		writeJSON(w, http.StatusOK, arbitraryResponse{Sigma: req.Sigma, Mu: req.Mu, Count: req.Count, Samples: out})
 	}
-	// Degraded mode: a poisoned shard anywhere in the base engines sheds
-	// the free-form path first, so the precompiled pools keep their
-	// capacity while the producer restarts.
-	if s.arb.degraded() {
-		writeUnavailable(w, "arbitrary layer degraded: a base shard is restarting")
-		return
-	}
-	tr := traceOf(w)
-	start := time.Now()
-	err := s.arb.draw(r.Context(), req.Sigma, req.Mu, out)
-	tr.End(obs.StageCoalesce, start)
-	if err != nil {
-		s.writeDrawError(w, epArbitrary, err)
-		return
-	}
-	s.m.samples.Add(uint64(req.Count))
-	s.m.tierConvolvedSamples.Add(uint64(req.Count))
-	s.m.tierConvolvedNanos.Add(uint64(time.Since(start).Nanoseconds()))
-	if s.tier != nil && req.Mu == 0 {
-		s.tier.Observe(req.Sigma, req.Count)
-	}
-	tr.SetTier("convolved")
-	w.Header().Set(tierHeader, "convolved")
-	writeJSON(w, http.StatusOK, arbitraryResponse{Sigma: req.Sigma, Mu: req.Mu, Count: req.Count, Samples: out})
 }
 
 // serveFreeformSigma handles a /v1/samples request whose σ names no
 // precompiled pool: with the arbitrary layer enabled, any parseable σ in
-// bounds is served by the convolution layer at μ = 0 — or, once the tier
-// controller has promoted the key, by its compiled pool — so the
-// endpoint's σ menu is the continuous admissible range rather than the
-// -sigmas list.  Responses keep the request's σ spelling.
+// bounds is served at μ = 0, so the endpoint's σ menu is the continuous
+// admissible range rather than the -sigmas list.  Responses keep the
+// request's σ spelling.
 func (s *Server) serveFreeformSigma(w http.ResponseWriter, r *http.Request, req samplesRequest) {
 	sigma, err := strconv.ParseFloat(req.Sigma, 64)
 	if err != nil {
@@ -272,36 +147,7 @@ func (s *Server) serveFreeformSigma(w http.ResponseWriter, r *http.Request, req 
 		return
 	}
 	out := make([]int, req.Count)
-	served, terr := s.tierCompiledDraw(r.Context(), sigma, out)
-	if terr != nil {
-		s.writeDrawError(w, epSamples, terr)
-		return
-	}
-	if served {
-		w.Header().Set(tierHeader, "compiled")
+	if s.serveFreeform(w, r, epSamples, sigma, 0, out) {
 		writeJSON(w, http.StatusOK, samplesResponse{Sigma: req.Sigma, Count: req.Count, Samples: out})
-		return
 	}
-	// Free-form σ rides the arbitrary layer, so it sheds with it.
-	if s.arb.degraded() {
-		writeUnavailable(w, "arbitrary layer degraded: a base shard is restarting")
-		return
-	}
-	tr := traceOf(w)
-	start := time.Now()
-	derr := s.arb.draw(r.Context(), sigma, 0, out)
-	tr.End(obs.StageCoalesce, start)
-	if derr != nil {
-		s.writeDrawError(w, epSamples, derr)
-		return
-	}
-	s.m.samples.Add(uint64(req.Count))
-	s.m.tierConvolvedSamples.Add(uint64(req.Count))
-	s.m.tierConvolvedNanos.Add(uint64(time.Since(start).Nanoseconds()))
-	if s.tier != nil {
-		s.tier.Observe(sigma, req.Count)
-	}
-	tr.SetTier("convolved")
-	w.Header().Set(tierHeader, "convolved")
-	writeJSON(w, http.StatusOK, samplesResponse{Sigma: req.Sigma, Count: req.Count, Samples: out})
 }

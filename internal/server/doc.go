@@ -9,9 +9,16 @@
 //     the unified refill runtime (internal/engine): background producers
 //     evaluate circuits ahead of demand and Pool.Take serves each
 //     request an exact slice of the refill stream, so concurrent small
-//     requests share refills by construction — the coalescers keep no
-//     cursor or leftover buffer of their own, only the per-σ ledger the
-//     /metrics scrape reads.
+//     requests share refills by construction.  The handler calls
+//     Pool.Take directly; /metrics reads the pool's engine ledger.
+//   - /v1/arbitrary, and /v1/samples for a σ with no precompiled pool,
+//     serve any admissible (σ, μ) through one flow (serveFreeform): a
+//     promoted compiled pool for a hot μ=0 key, else the convolution
+//     layer.  The only per-σ state is the tier controller's bounded key
+//     table (internal/tier), built whenever the arbitrary layer is on;
+//     its lifetime sample counts are the per-σ ledger on /metrics, so
+//     memory stays bounded whatever σ clients send.  Promotion runs
+//     only with Config.TierPromoteRPS > 0.
 //   - /v1/falcon/sign and /v1/falcon/verify run on a sharded
 //     falcon.SignerPool over the daemon's key.
 //   - /healthz reports liveness and configuration; /metrics exports

@@ -73,8 +73,8 @@ func (m *metrics) index(name string) int {
 	return -1
 }
 
-// sigmaStats is the per-σ pool telemetry joined into the scrape by the
-// server, read from the pool engine's unified ledger by the coalescers.
+// sigmaStats is one precompiled σ pool's telemetry joined into the
+// scrape, read from the pool engine's unified ledger.
 type sigmaStats struct {
 	sigma            string
 	batches          uint64
@@ -92,20 +92,77 @@ type sigmaStats struct {
 	rings            []ctgauss.RingStat
 }
 
-// tierScrape is the tier controller's state joined into the scrape by
-// the server (nil when tiering is disabled).
-type tierScrape struct {
-	stats tier.Stats
+func poolStats(sigma string, pool *ctgauss.Pool) sigmaStats {
+	es := pool.EngineStats()
+	return sigmaStats{
+		sigma: sigma,
+		// One "batch" is the pool's native 64-sample granularity; the
+		// engine ledger counts samples exactly, so the derived batch
+		// counter advances once per 64 consumed — and refills started ×
+		// batches-per-refill reconciles with it, as the coalescing test
+		// pins.
+		batches:          es.SamplesServed / 64,
+		refills:          es.RefillsStarted,
+		samples:          es.SamplesServed,
+		batchesPerRefill: pool.Stats().BatchesPerRefill,
+		shards:           es.Shards,
+		prefetch:         es.Prefetch,
+		refillsProduced:  es.RefillsProduced,
+		prefetchHits:     es.PrefetchHits,
+		prefetchMisses:   es.PrefetchMisses,
+		producerRestarts: es.ProducerRestarts,
+		refillsDiscarded: es.RefillsDiscarded,
+		shardsPoisoned:   es.ShardsPoisoned,
+		rings:            pool.RingStats(),
+	}
+}
+
+// arbStats is the free-form path's state joined into the scrape: the
+// convolution sampler's counters and the key table, whose per-σ
+// lifetime totals are the per-σ ledger.
+type arbStats struct {
+	trials, accepted uint64
+	shards           int
+
+	producerRestarts uint64
+	refillsDiscarded uint64
+	shardsPoisoned   int
+
+	// rings is the merged per-shard base-engine ring occupancy, exported
+	// under sigma="arbitrary" with the pool ring gauges.
+	rings []ctgauss.RingStat
+
+	table tier.Stats
 	keys  []tier.KeyInfo // sorted by σ
+}
+
+func newArbStats(arb *ctgauss.Arbitrary, tc *tier.Controller) *arbStats {
+	st := arb.Stats()
+	out := &arbStats{
+		trials:   st.Trials,
+		accepted: st.Accepted,
+		shards:   st.Shards,
+		rings:    arb.RingStats(),
+		table:    tc.Stats(),
+		keys:     tc.Snapshot(),
+	}
+	for _, h := range arb.Health() {
+		out.producerRestarts += h.Restarts
+		out.refillsDiscarded += h.DiscardedRefills
+		if h.Poisoned {
+			out.shardsPoisoned++
+		}
+	}
+	return out
 }
 
 // scrapeData bundles everything one /metrics render needs beyond the
 // counter set itself.
 type scrapeData struct {
 	sigmas   []sigmaStats
-	arb      *arbStats   // nil when the arbitrary layer is disabled
-	tier     *tierScrape // nil when tiering is disabled
-	prng     string      // the resolved sampling PRNG
+	arb      *arbStats // nil when the arbitrary layer is disabled
+	tiering  bool      // render the ctgaussd_tier_* families (arb is then set)
+	prng     string    // the resolved sampling PRNG
 	draining bool
 	uptime   time.Duration
 	stages   []obs.StageScrape // nil when tracing is disabled
@@ -319,38 +376,39 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	}
 
 	if arb := d.arb; arb != nil {
-		ps.family("ctgaussd_arbitrary_samples_total", "counter", "Samples served by the free-form (sigma, mu) convolution layer.").rowf("", "%d", arb.samples)
+		ps.family("ctgaussd_arbitrary_samples_total", "counter", "Samples served on the free-form (sigma, mu) path, both tiers.").rowf("", "%d", m.tierCompiledSamples.Load()+m.tierConvolvedSamples.Load())
 		ps.family("ctgaussd_arbitrary_trials_total", "counter", "Combine/round trials evaluated by the convolution layer.").rowf("", "%d", arb.trials)
 		ps.family("ctgaussd_arbitrary_accepted_total", "counter", "Trials accepted by the randomized-rounding step.").rowf("", "%d", arb.accepted)
-		ps.family("ctgaussd_arbitrary_sigmas", "gauge", "Distinct sigma values served since startup (capped tracking; see _sigmas_overflow).").rowf("", "%d", arb.distinctSigmas)
+		ps.family("ctgaussd_arbitrary_sigmas", "gauge", "Sigma values tracked now in the bounded key table (evicted keys drop out; see _sigmas_overflow).").rowf("", "%d", arb.table.TrackedKeys)
 		overflow := 0
-		if arb.sigmaOverflow {
+		if arb.table.Overflow {
 			overflow = 1
 		}
-		ps.family("ctgaussd_arbitrary_sigmas_overflow", "gauge", "Whether distinct-sigma tracking hit its cap (the gauge is then a lower bound).").rowf("", "%d", overflow)
-		ps.family("ctgaussd_arbitrary_plans", "gauge", "Distinct convolution plans compiled (one per requested sigma).").rowf("", "%d", arb.plans)
+		ps.family("ctgaussd_arbitrary_sigmas_overflow", "gauge", "Whether a new sigma was dropped because the key table was full and no key was cold.").rowf("", "%d", overflow)
+		ps.family("ctgaussd_arbitrary_plans", "gauge", "Sigma values tracked in the key table; plans are no longer stored (each request looks its plan up in a fixed menu).").rowf("", "%d", arb.table.TrackedKeys)
 		ps.family("ctgaussd_arbitrary_shards", "gauge", "Shard count of the arbitrary sampler.").rowf("", "%d", arb.shards)
-		f = ps.family("ctgaussd_arbitrary_sigma_samples_total", "counter", "Samples served per free-form sigma, both tiers (capped tracking; see _sigmas_overflow).")
-		for _, ss := range arb.sigmaSamples {
-			f.rowf(sigLabel(tier.SigmaString(ss.sigma)), "%d", ss.samples)
+		f = ps.family("ctgaussd_arbitrary_sigma_samples_total", "counter", "Samples served per tracked free-form sigma, both tiers and any mu (see _sigmas_overflow).")
+		for _, k := range arb.keys {
+			f.rowf(sigLabel(tier.SigmaString(k.Sigma)), "%d", k.Samples)
 		}
 	}
 
-	if ts := d.tier; ts != nil {
+	if d.tiering {
+		arb := d.arb
 		f = ps.family("ctgaussd_tier_samples_total", "counter", "Free-form samples served per tier (compiled = promoted pool, convolved = convolution fallback).")
 		f.rowf("{tier=\"compiled\"}", "%d", m.tierCompiledSamples.Load())
 		f.rowf("{tier=\"convolved\"}", "%d", m.tierConvolvedSamples.Load())
 		f = ps.family("ctgaussd_tier_sample_seconds_total", "counter", "Time spent inside the sampler per tier (pool.Take / convolution draw; transport excluded — divide by _tier_samples_total for ns-per-sample).")
 		f.rowf("{tier=\"compiled\"}", "%g", float64(m.tierCompiledNanos.Load())/1e9)
 		f.rowf("{tier=\"convolved\"}", "%g", float64(m.tierConvolvedNanos.Load())/1e9)
-		ps.family("ctgaussd_tier_promotions_total", "counter", "Hot keys promoted onto compiled pools (build completed and installed).").rowf("", "%d", ts.stats.Promotions)
-		ps.family("ctgaussd_tier_demotions_total", "counter", "Compiled keys demoted back to the convolved tier (drain started).").rowf("", "%d", ts.stats.Demotions)
-		ps.family("ctgaussd_tier_builds_failed_total", "counter", "Promotion builds that errored or panicked (key stayed convolved).").rowf("", "%d", ts.stats.BuildsFailed)
-		ps.family("ctgaussd_tier_builds_deferred_total", "counter", "Promotion ticks skipped while the base set was degraded.").rowf("", "%d", ts.stats.BuildsDeferred)
-		ps.family("ctgaussd_tier_pools", "gauge", "Compiled pools currently held by the tier controller (building + compiled + draining).").rowf("", "%d", ts.stats.Pools)
-		ps.family("ctgaussd_tier_pools_max", "gauge", "Configured compiled-pool budget.").rowf("", "%d", ts.stats.MaxPools)
-		f = ps.family("ctgaussd_tier_state", "gauge", "Tier state per tracked sigma (0=convolved, 1=building, 2=compiled, 3=draining).")
-		for _, k := range ts.keys {
+		ps.family("ctgaussd_tier_promotions_total", "counter", "Hot keys promoted onto compiled pools (build completed and installed).").rowf("", "%d", arb.table.Promotions)
+		ps.family("ctgaussd_tier_demotions_total", "counter", "Compiled keys demoted back to the convolved tier (drain started).").rowf("", "%d", arb.table.Demotions)
+		ps.family("ctgaussd_tier_builds_failed_total", "counter", "Promotion builds that errored or panicked (key stayed convolved).").rowf("", "%d", arb.table.BuildsFailed)
+		ps.family("ctgaussd_tier_builds_deferred_total", "counter", "Promotion ticks skipped while the base set was degraded.").rowf("", "%d", arb.table.BuildsDeferred)
+		ps.family("ctgaussd_tier_pools", "gauge", "Compiled pools currently held by the tier controller (building + compiled + draining).").rowf("", "%d", arb.table.Pools)
+		ps.family("ctgaussd_tier_pools_max", "gauge", "Configured compiled-pool budget.").rowf("", "%d", arb.table.MaxPools)
+		f = ps.family("ctgaussd_tier_state", "gauge", "Tier state per tracked sigma, any mu (0=convolved, 1=building, 2=compiled, 3=draining).")
+		for _, k := range arb.keys {
 			f.rowf(sigLabel(tier.SigmaString(k.Sigma)), "%d", int32(k.State))
 		}
 	}

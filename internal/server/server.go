@@ -91,22 +91,17 @@ type Config struct {
 	// keys whose sliding-window sample rate reaches this threshold are
 	// promoted in the background onto direct compiled pools (the
 	// convolved tier costs 4–20× more per sample; /metrics exposes both
-	// tiers' costs as ctgaussd_tier_sample_seconds_total).  0 disables
-	// the tier controller entirely.  Requires the arbitrary layer
-	// (DisableArbitrary=false).
+	// tiers' costs as ctgaussd_tier_sample_seconds_total), and demoted
+	// at a quarter of it.  0 turns tiering off: the key table still
+	// keeps the per-σ ledger, but nothing is promoted.  Requires the
+	// arbitrary layer (DisableArbitrary=false).
 	TierPromoteRPS float64
-	// TierDemoteRPS is the demotion threshold (default TierPromoteRPS/4;
-	// the hysteresis band prevents build/drain thrash).
-	TierDemoteRPS float64
 	// TierWindow is the sliding-window length rates are measured over
 	// (default 10s); promotions are evaluated every quarter window.
 	TierWindow time.Duration
 	// TierMaxPools bounds concurrently promoted compiled pools
 	// (default 4).
 	TierMaxPools int
-	// TierMaxSigma is the widest σ worth compiling directly (default 64;
-	// exact minimization cost grows with the support ⌈τσ⌉).
-	TierMaxSigma float64
 
 	// Trace enables end-to-end request tracing: every request gets an
 	// X-Ctgauss-Trace ID, per-stage timings flow into the
@@ -142,9 +137,9 @@ const (
 type Server struct {
 	cfg          Config
 	defaultSigma string
-	co           map[string]*coalescer
-	arb          *arbco           // nil when the arbitrary layer is disabled
-	tier         *tier.Controller // nil when tiering is disabled
+	pools        map[string]*ctgauss.Pool // the precompiled σ menu
+	arb          *ctgauss.Arbitrary       // nil when the arbitrary layer is disabled
+	tier         *tier.Controller         // free-form key table; nil exactly when arb is
 	signers      *falcon.SignerPool
 	pubEnc       string // base64 EncodePublic, fixed at startup
 	m            *metrics
@@ -220,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		defaultSigma: cfg.Sigmas[0],
-		co:           make(map[string]*coalescer),
+		pools:        make(map[string]*ctgauss.Pool),
 		m:            newMetrics(endpoints),
 		obs: obs.New(obs.Config{
 			Trace:              cfg.Trace,
@@ -241,7 +236,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for _, sigma := range cfg.Sigmas {
-		if _, dup := s.co[sigma]; dup {
+		if _, dup := s.pools[sigma]; dup {
 			return nil, fmt.Errorf("server: sigma %q listed twice", sigma)
 		}
 		prefetch := cfg.Prefetch
@@ -257,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: building σ=%s pool: %w", sigma, err)
 		}
-		s.co[sigma] = newCoalescer(sigma, pool)
+		s.pools[sigma] = pool
 	}
 
 	if !cfg.DisableArbitrary {
@@ -271,16 +266,14 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: building arbitrary base set: %w", err)
 		}
-		s.arb = newArbco(arb)
-	}
-
-	if s.arb != nil && cfg.TierPromoteRPS > 0 {
+		s.arb = arb
+		// The tier controller is the free-form path's only per-σ state,
+		// so it exists whenever the layer does.  With TierPromoteRPS ≤ 0
+		// it runs no ticker and never promotes.
 		tc, err := tier.New(tier.Config{
 			PromoteRPS: cfg.TierPromoteRPS,
-			DemoteRPS:  cfg.TierDemoteRPS,
 			Window:     cfg.TierWindow,
 			MaxPools:   cfg.TierMaxPools,
-			MaxSigma:   cfg.TierMaxSigma,
 			// A promoted pool derives its seed exactly as a -sigmas
 			// deployment of the same σ would (PoolSeed + registry artifact),
 			// so promotion changes which machinery serves the key, never the
@@ -293,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 					Prefetch: cfg.Prefetch,
 				}, cfg.PoolShards)
 			},
-			Degraded: s.arb.degraded,
+			Degraded: arb.Degraded,
 			// Tier transitions (promoting/promoted/build-failed/demoting)
 			// land in the structured log instead of vanishing.
 			Logf: func(format string, args ...any) {
@@ -366,7 +359,7 @@ func (s *Server) ArbitraryBounds() (min, max float64, ok bool) {
 	if s.arb == nil {
 		return 0, 0, false
 	}
-	min, max = s.arb.arb.Bounds()
+	min, max = s.arb.Bounds()
 	return min, max, true
 }
 
@@ -376,7 +369,12 @@ func (s *Server) FalconEnabled() bool { return s.signers != nil }
 // Tier returns the hot-key promotion controller, or nil when tiering is
 // disabled.  Exported for tests and the acceptance harness, which force
 // transitions to pin the promoted surface deterministically.
-func (s *Server) Tier() *tier.Controller { return s.tier }
+func (s *Server) Tier() *tier.Controller {
+	if s.cfg.TierPromoteRPS <= 0 {
+		return nil
+	}
+	return s.tier
+}
 
 // Drain gracefully stops the server: new requests are refused with 503
 // while requests already admitted run to completion; Drain returns once
@@ -401,11 +399,11 @@ func (s *Server) Close() {
 		if s.tier != nil {
 			s.tier.Close()
 		}
-		for _, co := range s.co {
-			co.pool.Close()
+		for _, pool := range s.pools {
+			pool.Close()
 		}
 		if s.arb != nil {
-			s.arb.arb.Close()
+			s.arb.Close()
 		}
 		if s.signers != nil {
 			s.signers.Close()
@@ -652,7 +650,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("count %d exceeds limit %d", req.Count, s.cfg.MaxCount))
 		return
 	}
-	co, ok := s.co[req.Sigma]
+	pool, ok := s.pools[req.Sigma]
 	if !ok {
 		// σ without a precompiled pool: fall through to the convolution
 		// layer (free-form σ), or report the precompiled menu when the
@@ -667,7 +665,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	out := make([]int, req.Count)
 	tr := traceOf(w)
 	t0 := tr.Now()
-	err := co.draw(r.Context(), out)
+	err := pool.Take(r.Context(), out)
 	tr.End(obs.StageCoalesce, t0)
 	if err != nil {
 		s.writeDrawError(w, epSamples, err)
@@ -929,11 +927,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		PRNG:          s.cfg.PRNG,
 		Sigmas:        s.cfg.Sigmas,
 		DefaultSigma:  s.defaultSigma,
-		PoolShards:    s.co[s.defaultSigma].pool.Size(),
-		Prefetch:      s.co[s.defaultSigma].pool.EngineStats().Prefetch,
+		PoolShards:    s.pools[s.defaultSigma].Size(),
+		Prefetch:      s.pools[s.defaultSigma].EngineStats().Prefetch,
 	}
 	for _, sigma := range s.cfg.Sigmas {
-		ph := poolHealthOf(sigma, s.co[sigma].pool.Health())
+		ph := poolHealthOf(sigma, s.pools[sigma].Health())
 		if ph.Poisoned > 0 {
 			status = "degraded"
 		}
@@ -941,20 +939,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.arb != nil {
 		resp.Arbitrary = true
-		resp.ArbitraryBases = s.arb.arb.Stats().Bases
-		resp.ArbitrarySigmaMin, resp.ArbitrarySigmaMax = s.arb.arb.Bounds()
-		ph := poolHealthOf("arbitrary", s.arb.arb.Health())
+		resp.ArbitraryBases = s.arb.Stats().Bases
+		resp.ArbitrarySigmaMin, resp.ArbitrarySigmaMax = s.arb.Bounds()
+		ph := poolHealthOf("arbitrary", s.arb.Health())
 		if ph.Poisoned > 0 {
 			status = "degraded"
 		}
 		resp.Pools = append(resp.Pools, ph)
 	}
-	if s.tier != nil {
+	if s.Tier() != nil {
 		tcfg := s.tier.Config()
 		tst := s.tier.Stats()
 		th := &tierHealthJSON{
 			PromoteRPS:     tcfg.PromoteRPS,
-			DemoteRPS:      tcfg.DemoteRPS,
+			DemoteRPS:      tcfg.DemoteRPS(),
 			WindowSeconds:  tcfg.Window.Seconds(),
 			MaxPools:       tst.MaxPools,
 			Pools:          tst.Pools,
@@ -994,23 +992,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sigmas []sigmaStats
-	for _, co := range s.co {
-		sigmas = append(sigmas, co.sigmaStats())
+	for sigma, pool := range s.pools {
+		sigmas = append(sigmas, poolStats(sigma, pool))
 	}
 	var arb *arbStats
 	if s.arb != nil {
-		st := s.arb.stats()
-		arb = &st
-	}
-	var ts *tierScrape
-	if s.tier != nil {
-		ts = &tierScrape{stats: s.tier.Stats(), keys: s.tier.Snapshot()}
+		arb = newArbStats(s.arb, s.tier)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.m.writePrometheus(w, scrapeData{
 		sigmas:   sigmas,
 		arb:      arb,
-		tier:     ts,
+		tiering:  s.Tier() != nil,
 		prng:     s.cfg.PRNG,
 		draining: s.isDraining(),
 		uptime:   time.Since(s.start),

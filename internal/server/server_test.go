@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -191,7 +192,7 @@ func TestSamplesCoalescing(t *testing.T) {
 	}
 	// The refill ledger must agree with the engine width: refills =
 	// batches / batches-per-refill.
-	width := s.co["2"].stats.BatchesPerRefill
+	width := s.pools["2"].Stats().BatchesPerRefill
 	refills := scrapeMetric(t, ts.URL, `ctgaussd_refills_total{sigma="2"}`)
 	if want := float64(clients*perClient/64) / float64(width); refills != want {
 		t.Fatalf("refills = %v, want %v (width %d)", refills, want, width)
@@ -283,6 +284,64 @@ func TestFalconEndpoints(t *testing.T) {
 	}
 	if err := pk.Verify([]byte("serving test message"), sig); err != nil {
 		t.Fatalf("offline verification of served signature: %v", err)
+	}
+}
+
+// TestFalconVerifyRejectsMalleable: a served signature re-encoded with a
+// byte appended (length field bumped to match), or with an unused
+// padding bit of its last byte set, is a different byte string and
+// /v1/falcon/verify must answer valid: false for it.
+func TestFalconVerifyRejectsMalleable(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	var msg string
+	var raw []byte
+	saltLen := 0
+	for i := 0; raw == nil; i++ {
+		msg = base64.StdEncoding.EncodeToString([]byte(fmt.Sprintf("malleable %d", i)))
+		resp, body := postJSONT(t, ts.URL+"/v1/falcon/sign", signRequest{Message: msg})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sign: status %d: %s", resp.StatusCode, body)
+		}
+		var sr signResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := base64.StdEncoding.DecodeString(sr.Signature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := falcon.DecodeSignature(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Payload bits: sign, 7 low bits, unary high part, terminator.
+		bits := 0
+		for _, c := range sig.S1 {
+			bits += 9 + int(max(c, -c))>>7
+		}
+		if bits%8 != 0 { // the last byte has padding bits
+			raw, saltLen = enc, len(sig.Salt)
+		}
+	}
+	// Salt, then a big-endian uint16 degree and uint16 payload length.
+	appended := append(append([]byte(nil), raw...), 0)
+	plen := appended[saltLen+2:]
+	binary.BigEndian.PutUint16(plen, binary.BigEndian.Uint16(plen)+1)
+	padded := append([]byte(nil), raw...)
+	padded[len(padded)-1] |= 1
+	for name, m := range map[string][]byte{"genuine": raw, "trailing byte": appended, "padding bit": padded} {
+		resp, body := postJSONT(t, ts.URL+"/v1/falcon/verify",
+			verifyRequest{Message: msg, Signature: base64.StdEncoding.EncodeToString(m)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		var vr verifyResponse
+		if err := json.Unmarshal(body, &vr); err != nil {
+			t.Fatal(err)
+		}
+		if want := name == "genuine"; vr.Valid != want {
+			t.Errorf("%s: valid = %v, want %v (%s)", name, vr.Valid, want, vr.Reason)
+		}
 	}
 }
 

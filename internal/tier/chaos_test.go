@@ -34,7 +34,7 @@ func TestChaosTierBuildFail(t *testing.T) {
 	defer disarm()
 
 	const sigma = 2.5
-	c.Observe(sigma, 100)
+	c.Observe(sigma, 0, 100)
 	c.Poll()
 	// The injected panic unwinds the build goroutine; the key must roll
 	// back to convolved with the failure counted and no Build call made
@@ -63,7 +63,7 @@ func TestChaosTierBuildFail(t *testing.T) {
 	// Cooldown: the key stays hot but must not re-candidate for a full
 	// window of polls.
 	for i := 0; i < rateBuckets; i++ {
-		c.Observe(sigma, 100)
+		c.Observe(sigma, 0, 100)
 		c.Poll()
 		time.Sleep(2 * time.Millisecond)
 		if got := c.State(sigma); got != Convolved {
@@ -72,7 +72,7 @@ func TestChaosTierBuildFail(t *testing.T) {
 	}
 	// Cooldown spent (and the fault auto-disarmed at Count=1): the next
 	// hot poll promotes for real.
-	c.Observe(sigma, 1000)
+	c.Observe(sigma, 0, 1000)
 	c.Poll()
 	waitState(t, c, sigma, Compiled)
 	st = c.Stats()
@@ -99,7 +99,7 @@ func TestChaosDegradedDefersPromotion(t *testing.T) {
 
 	const sigma = 2.5
 	for i := 0; i < 3; i++ {
-		c.Observe(sigma, 1000)
+		c.Observe(sigma, 0, 1000)
 		c.Poll()
 		time.Sleep(2 * time.Millisecond)
 		if got := c.State(sigma); got != Convolved {
@@ -112,7 +112,7 @@ func TestChaosDegradedDefersPromotion(t *testing.T) {
 	}
 
 	degraded.Store(false)
-	c.Observe(sigma, 1000)
+	c.Observe(sigma, 0, 1000)
 	c.Poll()
 	waitState(t, c, sigma, Compiled)
 	if st := c.Stats(); st.Promotions != 1 {

@@ -9,7 +9,16 @@
 // it observations (Observe) and asks it, once per request, which tier a
 // σ is on (Acquire); the answer is a refcounted pool handle, so a
 // response is always served wholly by one tier and a demotion can never
-// close a pool out from under an in-flight draw.  State machine per key:
+// close a pool out from under an in-flight draw.
+//
+// Its key table is the serving process's only per-σ state: besides the
+// rate window it holds each σ's lifetime sample count, which the server
+// exports as its per-σ ledger.  The table is bounded by one cap
+// (4096 keys) and one policy: admitting a new σ to a full table evicts
+// a convolved key whose μ=0 window is empty, and if there is none the
+// new σ is dropped and the overflow flag set.  Memory therefore stays
+// bounded whatever σ clients send, and finding a key to evict never
+// scans the table.  State machine per key:
 //
 //	convolved ──rate ≥ PromoteRPS──► building ──build ok──► compiled
 //	    ▲                                │                      │
@@ -84,10 +93,14 @@ func (s State) String() string {
 // by this many buckets, rotated one per Poll.
 const rateBuckets = 4
 
-// defaultMaxTrackedKeys bounds the per-σ rate map (an adversarial
-// client sweeping σ values must not grow controller memory without
-// bound) — the same discipline as the serving layer's distinct-σ cap.
+// defaultMaxTrackedKeys bounds the key table: an adversarial client
+// sweeping σ values must not grow memory without bound.
 const defaultMaxTrackedKeys = 4096
+
+// maxCompiledSigma is the largest σ worth compiling directly — exact
+// minimization cost grows with the support ⌈τσ⌉, so wider keys stay on
+// the convolved tier no matter how hot.
+const maxCompiledSigma = 64
 
 // ErrClosed is returned by forced transitions after Close.
 var ErrClosed = errors.New("tier: controller closed")
@@ -96,14 +109,11 @@ var ErrClosed = errors.New("tier: controller closed")
 // rest select the documented defaults.
 type Config struct {
 	// PromoteRPS is the sliding-window sample rate (samples/second, μ=0
-	// traffic only) at which a key becomes a promotion candidate.  With
-	// PromoteRPS ≤ 0 no automatic ticker runs: only ForcePromote and
-	// ForceDemote move keys (the acceptance harness's mode).
+	// traffic only) at which a key becomes a promotion candidate; a
+	// compiled key demotes at or below DemoteRPS.  With PromoteRPS ≤ 0
+	// no automatic ticker runs: only ForcePromote and ForceDemote move
+	// keys (the acceptance harness's mode).
 	PromoteRPS float64
-	// DemoteRPS is the rate at or below which a compiled key demotes
-	// (default PromoteRPS/4 — the hysteresis band keeps a key flickering
-	// around one threshold from thrashing build/drain cycles).
-	DemoteRPS float64
 	// Window is the sliding-window length rates are measured over
 	// (default 10s).
 	Window time.Duration
@@ -113,10 +123,6 @@ type Config struct {
 	// MaxPools bounds concurrently held compiled pools, counting keys in
 	// the building and draining states against the budget (default 4).
 	MaxPools int
-	// MaxSigma is the largest σ worth compiling directly — exact
-	// minimization cost grows with the support ⌈τσ⌉, so very wide keys
-	// stay on the convolved tier no matter how hot (default 64).
-	MaxSigma float64
 	// Build constructs the compiled pool for a σ (its canonical decimal
 	// spelling).  It runs on a background goroutine; a panic inside it
 	// is contained and counted as a failed build.
@@ -133,10 +139,12 @@ type Config struct {
 	maxKeys int
 }
 
+// DemoteRPS is the rate at or below which a compiled key demotes:
+// PromoteRPS/4, a hysteresis band that keeps a key flickering around
+// one threshold from thrashing build/drain cycles.
+func (c Config) DemoteRPS() float64 { return c.PromoteRPS / 4 }
+
 func (c Config) withDefaults() Config {
-	if c.DemoteRPS <= 0 {
-		c.DemoteRPS = c.PromoteRPS / 4
-	}
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
 	}
@@ -145,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPools <= 0 {
 		c.MaxPools = 4
-	}
-	if c.MaxSigma <= 0 {
-		c.MaxSigma = 64
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -163,8 +168,8 @@ func (c Config) withDefaults() Config {
 // through refcounted handles.
 type key struct {
 	sigma   float64
-	buckets [rateBuckets]uint64 // buckets[0] is the current tick
-	total   uint64              // lifetime observed samples
+	buckets [rateBuckets]uint64 // μ=0 samples; buckets[0] is the current tick
+	total   uint64              // lifetime observed samples, any μ
 	state   State
 	pool    Pool
 	refs    int           // outstanding Acquire handles
@@ -187,8 +192,14 @@ func (k *key) windowSum() uint64 {
 type Controller struct {
 	cfg Config
 
-	mu       sync.Mutex
-	keys     map[float64]*key
+	mu   sync.Mutex
+	keys map[float64]*key
+	// cold lists keys that were convolved with an empty window when
+	// added: Poll rebuilds it, and a key first observed at μ≠0 or
+	// returning to the convolved tier joins it.  Eviction pops entries
+	// until one is still cold, so admitting a σ to a full table never
+	// scans the map.
+	cold     []*key
 	active   int // keys holding pool budget: building + compiled + draining
 	closed   bool
 	overflow bool
@@ -239,14 +250,15 @@ func SigmaString(sigma float64) string {
 	return strconv.FormatFloat(sigma, 'g', -1, 64)
 }
 
-// Observe records n samples of μ=0 traffic for sigma — the rate signal
-// promotions are decided on.  The serving layer calls it once per
-// response, whichever tier served it (a promoted key must keep looking
-// hot, or it would demote the moment its traffic left the convolved
-// tier).  Tracking is bounded: past the key cap, cold keys are evicted
-// to make room and, failing that, the observation is dropped with the
-// overflow flag set.
-func (c *Controller) Observe(sigma float64, n int) {
+// Observe records a response of n samples at (sigma, mu).  Every
+// response adds to the key's lifetime total; only μ=0 traffic feeds the
+// rate window promotions are decided on, since a compiled pool serves
+// only μ=0.  The serving layer calls it once per response, whichever
+// tier served it (a promoted key must keep looking hot, or it would
+// demote the moment its traffic left the convolved tier).  Past the key
+// cap a cold key is evicted to make room; failing that, the
+// observation is dropped with the overflow flag set.
+func (c *Controller) Observe(sigma, mu float64, n int) {
 	if n <= 0 {
 		return
 	}
@@ -255,25 +267,44 @@ func (c *Controller) Observe(sigma float64, n int) {
 	if c.closed {
 		return
 	}
-	k := c.keys[sigma]
+	k := c.trackLocked(sigma)
 	if k == nil {
-		if len(c.keys) >= c.cfg.maxKeys && !c.evictColdLocked() {
-			c.overflow = true
-			return
-		}
-		k = &key{sigma: sigma}
-		c.keys[sigma] = k
+		return
 	}
-	k.buckets[0] += uint64(n)
+	if mu == 0 {
+		k.buckets[0] += uint64(n)
+	} else if k.total == 0 && k.state == Convolved {
+		c.cold = append(c.cold, k) // new, and its window is empty
+	}
 	k.total += uint64(n)
 }
 
+// trackLocked returns sigma's key, admitting it if the table has room
+// or a cold key to evict.  It returns nil, with the overflow flag set,
+// when every tracked key is warm or holds a pool.
+func (c *Controller) trackLocked(sigma float64) *key {
+	if k := c.keys[sigma]; k != nil {
+		return k
+	}
+	if len(c.keys) >= c.cfg.maxKeys && !c.evictColdLocked() {
+		c.overflow = true
+		return nil
+	}
+	k := &key{sigma: sigma}
+	c.keys[sigma] = k
+	return k
+}
+
 // evictColdLocked drops one convolved key with an empty window (no
-// budget, no pool, no recent traffic); reports whether a slot freed.
+// budget, no pool, no recent μ=0 traffic); reports whether a slot
+// freed.  Listed keys that have since warmed up, changed state or left
+// the table are discarded on the way.
 func (c *Controller) evictColdLocked() bool {
-	for sigma, k := range c.keys {
-		if k.state == Convolved && k.windowSum() == 0 {
-			delete(c.keys, sigma)
+	for len(c.cold) > 0 {
+		k := c.cold[len(c.cold)-1]
+		c.cold = c.cold[:len(c.cold)-1]
+		if c.keys[k.sigma] == k && k.state == Convolved && k.windowSum() == 0 {
+			delete(c.keys, k.sigma)
 			return true
 		}
 	}
@@ -345,11 +376,11 @@ func (c *Controller) Poll() {
 		}
 		switch k.state {
 		case Convolved:
-			if c.cfg.PromoteRPS > 0 && rate >= c.cfg.PromoteRPS && k.sigma <= c.cfg.MaxSigma {
+			if c.cfg.PromoteRPS > 0 && rate >= c.cfg.PromoteRPS && k.sigma <= maxCompiledSigma {
 				promote = append(promote, cand{k, rate})
 			}
 		case Compiled:
-			if rate <= c.cfg.DemoteRPS {
+			if rate <= c.cfg.DemoteRPS() {
 				demote = append(demote, k)
 			}
 		}
@@ -372,10 +403,15 @@ func (c *Controller) Poll() {
 	for _, k := range demote {
 		c.demoteLocked(k)
 	}
-	// Rotate: the oldest bucket falls off the window.
+	// Rotate: the oldest bucket falls off the window, and the keys it
+	// leaves cold become the eviction candidates.
+	c.cold = c.cold[:0]
 	for _, k := range c.keys {
 		copy(k.buckets[1:], k.buckets[:rateBuckets-1])
 		k.buckets[0] = 0
+		if k.state == Convolved && k.windowSum() == 0 {
+			c.cold = append(c.cold, k)
+		}
 	}
 	c.mu.Unlock()
 }
@@ -415,6 +451,7 @@ func (c *Controller) finishBuild(k *key, pool Pool, err error) {
 	if err != nil {
 		k.state = Convolved
 		k.cooldown = rateBuckets // one full window before retrying
+		c.cold = append(c.cold, k)
 		c.active--
 		c.buildsFailed++
 		c.mu.Unlock()
@@ -460,6 +497,7 @@ func (c *Controller) demoteLocked(k *key) <-chan struct{} {
 		k.pool = nil
 		k.drained = nil
 		k.state = Convolved
+		c.cold = append(c.cold, k)
 		c.active--
 		c.mu.Unlock()
 		close(done)
@@ -478,14 +516,10 @@ func (c *Controller) ForcePromote(sigma float64) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	k := c.keys[sigma]
+	k := c.trackLocked(sigma)
 	if k == nil {
-		if len(c.keys) >= c.cfg.maxKeys && !c.evictColdLocked() {
-			c.mu.Unlock()
-			return fmt.Errorf("tier: key table full (%d keys)", c.cfg.maxKeys)
-		}
-		k = &key{sigma: sigma}
-		c.keys[sigma] = k
+		c.mu.Unlock()
+		return fmt.Errorf("tier: key table full (%d keys)", c.cfg.maxKeys)
 	}
 	switch k.state {
 	case Building, Compiled:
@@ -532,9 +566,9 @@ func (c *Controller) ForceDemote(sigma float64) error {
 type KeyInfo struct {
 	Sigma float64
 	State State
-	// Rate is the sliding-window sample rate (samples/second).
+	// Rate is the sliding-window μ=0 sample rate (samples/second).
 	Rate float64
-	// Samples is the lifetime observed sample count.
+	// Samples is the lifetime observed sample count, any μ.
 	Samples uint64
 }
 
@@ -566,7 +600,7 @@ type Stats struct {
 	Pools          int    // keys holding pool budget (building+compiled+draining)
 	MaxPools       int
 	TrackedKeys    int
-	Overflow       bool // key table hit its cap; rate signal is a lower bound
+	Overflow       bool // a σ was dropped: the table was full and no key was cold
 }
 
 // Stats snapshots the transition counters.

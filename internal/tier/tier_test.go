@@ -124,14 +124,14 @@ func TestLifecycleManualPoll(t *testing.T) {
 	}
 
 	// Below threshold: 50 samples over a 1s window < 100/s.
-	c.Observe(sigma, 50)
+	c.Observe(sigma, 0, 50)
 	c.Poll()
 	if got := c.State(sigma); got != Convolved {
 		t.Fatalf("cold key promoted: state %v", got)
 	}
 
 	// Hot: cross the threshold and poll.
-	c.Observe(sigma, 200)
+	c.Observe(sigma, 0, 200)
 	c.Poll()
 	waitState(t, c, sigma, Compiled)
 	if n := builds.Load(); n != 1 {
@@ -235,8 +235,8 @@ func TestBudgetSpendsHottestFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Observe(2.5, 100)
-	c.Observe(3.5, 1000) // hotter
+	c.Observe(2.5, 0, 100)
+	c.Observe(3.5, 0, 1000) // hotter
 	c.Poll()
 	waitState(t, c, 3.5, Compiled)
 	if got := c.State(2.5); got != Convolved {
@@ -247,22 +247,22 @@ func TestBudgetSpendsHottestFirst(t *testing.T) {
 	}
 }
 
-// TestMaxSigmaCapsPromotion: arbitrarily hot keys wider than MaxSigma
+// TestMaxSigmaCapsPromotion: arbitrarily hot keys wider than maxCompiledSigma
 // stay convolved (compiling them would cost more than it saves).
 func TestMaxSigmaCapsPromotion(t *testing.T) {
 	c, err := New(Config{
-		PromoteRPS: 10, Window: time.Second, Tick: -1, MaxSigma: 8,
+		PromoteRPS: 10, Window: time.Second, Tick: -1,
 		Build: func(string) (Pool, error) { return &fakePool{}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Observe(300, 1_000_000)
+	c.Observe(300, 0, 1_000_000)
 	c.Poll()
 	time.Sleep(20 * time.Millisecond)
 	if got := c.State(300); got != Convolved {
-		t.Fatalf("σ=300 state %v, want convolved (MaxSigma=8)", got)
+		t.Fatalf("σ=300 state %v, want convolved (σ > maxCompiledSigma)", got)
 	}
 }
 
@@ -282,13 +282,13 @@ func TestKeyTableEvictionAndOverflow(t *testing.T) {
 	}
 	defer c.Close()
 
-	c.Observe(1.5, 10)
-	c.Observe(2.5, 10)
+	c.Observe(1.5, 0, 10)
+	c.Observe(2.5, 0, 10)
 	if st := c.Stats(); st.TrackedKeys != 2 {
 		t.Fatalf("tracked = %d, want 2", st.TrackedKeys)
 	}
 	// Both windows still hot: a third key cannot evict and is dropped.
-	c.Observe(3.5, 10)
+	c.Observe(3.5, 0, 10)
 	st := c.Stats()
 	if st.TrackedKeys != 2 || !st.Overflow {
 		t.Fatalf("after hot-table insert: %+v, want 2 tracked + overflow", st)
@@ -297,13 +297,79 @@ func TestKeyTableEvictionAndOverflow(t *testing.T) {
 	for i := 0; i < rateBuckets; i++ {
 		c.Poll()
 	}
-	c.Observe(4.5, 10)
+	c.Observe(4.5, 0, 10)
 	st = c.Stats()
 	if st.TrackedKeys != 2 {
 		t.Fatalf("eviction failed: %+v", st)
 	}
 	if c.State(4.5) != Convolved {
 		t.Fatal("new key not tracked after eviction")
+	}
+}
+
+// TestObserveOffCenter pins how μ≠0 traffic enters the table: it counts
+// in the key's lifetime samples but never in its rate window, so a key
+// first seen off center is cold at once and evictable without waiting
+// for a Poll.
+func TestObserveOffCenter(t *testing.T) {
+	c, err := New(Config{
+		PromoteRPS: 1e12,
+		Window:     time.Second,
+		Tick:       -1,
+		Build:      func(string) (Pool, error) { return &fakePool{}, nil },
+		maxKeys:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.Observe(1.5, 0, 10)
+	c.Observe(1.5, 0.25, 5)
+	c.Observe(2.5, 0.5, 10)
+	snap := c.Snapshot()
+	if len(snap) != 2 || snap[0].Samples != 15 || snap[0].Rate != 10 || snap[1].Rate != 0 {
+		t.Fatalf("snapshot %+v, want σ=1.5 with 15 samples at rate 10 and σ=2.5 at rate 0", snap)
+	}
+	// σ=2.5 is cold: a third key evicts it, no Poll needed.
+	c.Observe(3.5, 0, 10)
+	if st := c.Stats(); st.TrackedKeys != 2 || st.Overflow {
+		t.Fatalf("after evicting the off-center key: %+v", st)
+	}
+	if snap := c.Snapshot(); snap[0].Sigma != 1.5 || snap[1].Sigma != 3.5 {
+		t.Fatalf("wrong key evicted: %+v", snap)
+	}
+	// Both keys warm: the next σ is dropped, whatever its μ.
+	c.Observe(4.5, 0.5, 10)
+	if st := c.Stats(); st.TrackedKeys != 2 || !st.Overflow {
+		t.Fatalf("after a full warm table: %+v, want 2 tracked + overflow", st)
+	}
+}
+
+// BenchmarkObserveFullTable measures admitting a new σ to a table full
+// of warm keys: each op offers a σ the table has never seen, which is
+// dropped with the overflow flag set.  This must not cost a scan of the
+// table.
+func BenchmarkObserveFullTable(b *testing.B) {
+	c, err := New(Config{
+		PromoteRPS: 1e12,
+		Tick:       -1,
+		Build:      func(string) (Pool, error) { return &fakePool{}, nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < defaultMaxTrackedKeys; i++ {
+		c.Observe(1+float64(i)/8, 0, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Observe(1e4+float64(i), 0, 1)
+	}
+	b.StopTimer()
+	if st := c.Stats(); st.TrackedKeys != defaultMaxTrackedKeys || !st.Overflow {
+		b.Fatalf("table %+v, want %d keys and overflow", st, defaultMaxTrackedKeys)
 	}
 }
 
@@ -342,7 +408,7 @@ func TestCloseWithInFlightBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Observe(2.5, 100)
+	c.Observe(2.5, 0, 100)
 	c.Poll()
 	waitState(t, c, 2.5, Building)
 
@@ -386,7 +452,7 @@ func TestAutomaticTicker(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("never promoted; state %v", c.State(sigma))
 		}
-		c.Observe(sigma, 50)
+		c.Observe(sigma, 0, 50)
 		time.Sleep(time.Millisecond)
 	}
 	// Starve it; the window flushes and the key demotes.
@@ -497,7 +563,7 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 	defer c.Close()
 	for _, s := range []float64{9.5, 1.25, 4} {
-		c.Observe(s, 1)
+		c.Observe(s, 0, 1)
 	}
 	snap := c.Snapshot()
 	if len(snap) != 3 {

@@ -268,7 +268,7 @@ func (p *Pool) NextBatch(dst []int) error {
 // needed above the pool.  Requests larger than one refill are chunked
 // refill-by-refill across shards, so big concurrent draws spread over
 // the pool instead of serializing on one ring.  Safe for concurrent
-// use; the serving layer's coalescers are thin wrappers over Take.
+// use; the serving layer's /v1/samples handler calls Take directly.
 //
 // ctx cancels a take blocked on a slow refill (nil never cancels); on
 // any error — ErrClosed, ErrPoolDegraded, ctx.Err() — dst's contents
