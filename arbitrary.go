@@ -30,9 +30,6 @@ type ArbitraryConfig struct {
 	// Workers bounds the build parallelism of a cold base-set
 	// compilation (0 = all CPUs).
 	Workers int
-	// MinSigma and MaxSigma bound admissible σ requests (defaults 0.9
-	// and 4096).
-	MinSigma, MaxSigma float64
 	// Prefetch is the base-draw refill lookahead per (shard, base
 	// member) stream, as in Config.Prefetch (0 = default, negative =
 	// synchronous).
@@ -50,10 +47,16 @@ type ArbitraryStats = convolve.Stats
 // compiled base set: the convolution layer (internal/convolve) selects
 // a Micciancio–Walter-style ladder of base draws whose width dominates
 // the target and reshapes it with constant-time randomized rounding.
-// One Arbitrary replaces an unbounded family of per-σ samplers; the
-// base set is resolved through the registry as a single artifact, so
-// any number of Arbitrary instances (and the per-σ pools sharing its
-// members) build each circuit at most once per process.
+// One Arbitrary replaces an unbounded family of per-σ samplers, and it
+// is the package's only large-σ path: every ladder node keeps its
+// coarse grid inside the fine sibling's smoothing range, which a flat
+// z₁ + k·z₂ combine with k > σ_base does not.  Each base member is
+// resolved through the registry, so any number of Arbitrary instances
+// (and the per-σ pools sharing its members) build each circuit at most
+// once per process.
+//
+// Admissible σ run from 0.9 to 4096, or to the base set's widest
+// recipe if that is narrower; Bounds reports the range.
 //
 // Next and NextBatch are safe for any number of concurrent callers.
 type Arbitrary struct {
@@ -69,8 +72,6 @@ func NewArbitrary(cfg ArbitraryConfig) (*Arbitrary, error) {
 		Seed:     cfg.Seed,
 		PRNG:     cfg.PRNG,
 		Workers:  cfg.Workers,
-		MinSigma: cfg.MinSigma,
-		MaxSigma: cfg.MaxSigma,
 		Prefetch: cfg.Prefetch,
 	})
 	if err != nil {

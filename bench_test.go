@@ -357,23 +357,6 @@ func BenchmarkGenerationPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeSigmaConvolution exercises the σ≈215-class configuration
-// via the convolution combiner over the σ=6.15543 base (σ_eff ≈ 6.15543·
-// √(1+35²) ≈ 215), the practical route the paper cites for large σ.
-func BenchmarkLargeSigmaConvolution(b *testing.B) {
-	s, err := ctgauss.New("6.15543")
-	if err != nil {
-		b.Fatal(err)
-	}
-	conv := ctgauss.NewLargeSigma(s, 35)
-	b.ResetTimer()
-	acc := 0
-	for i := 0; i < b.N; i++ {
-		acc += conv.Next()
-	}
-	_ = acc
-}
-
 // BenchmarkBuildMinimization compares the serial and parallel fan-out of
 // the per-sublist exact minimization — the tentpole build-time speedup
 // (proportional to core count; this machine may be single-core).

@@ -13,7 +13,6 @@
 //	ctgaussd -cache /var/cache/ctgauss        # persist circuits across restarts
 //	ctgaussd -prefetch 4                      # deeper refill lookahead per shard
 //	ctgaussd -prefetch sync                   # inline refills (pre-engine behaviour)
-//	ctgaussd -prefetch 8,6.15543=sync         # per-σ depth overrides
 //	ctgaussd -falcon-n 0                      # sampling only
 //	ctgaussd -arbitrary=false                 # precompiled σ menu only
 //	ctgaussd -arbitrary-bases 2,6.15543       # convolution base set
@@ -58,7 +57,7 @@ func main() {
 	shards := flag.Int("shards", 0, "sampling pool shards per σ (0 = NumCPU)")
 	seed := flag.String("seed", "", "master seed: hex, 'random' for fresh entropy, empty for the fixed dev seed")
 	prngName := flag.String("prng", "", "sampling PRNG for σ pools, the arbitrary layer and tier pools: chacha20, shake256, aes-ctr; empty picks aes-ctr when Go's crypto/aes runs on AES instructions (AES-NI, SSE4.1, SSSE3, none turned off by GODEBUG) and chacha20 otherwise, since software AES is not constant time")
-	prefetch := flag.String("prefetch", "", "refill lookahead per pool shard: a depth (e.g. 4), 'sync' for inline refills, or per-σ overrides '2=4,6.15543=sync' (empty = double buffering)")
+	prefetch := flag.String("prefetch", "", "refill lookahead per pool shard: a depth (e.g. 4) or 'sync' for inline refills (empty = double buffering)")
 	arbitrary := flag.Bool("arbitrary", true, "serve free-form (σ, μ) at /v1/arbitrary and free-form σ at /v1/samples")
 	arbBases := flag.String("arbitrary-bases", "", "comma-separated base-set σ values for the convolution layer (default 2,6.15543)")
 	arbShards := flag.Int("arbitrary-shards", 0, "arbitrary sampler shards (0 = NumCPU)")
@@ -129,7 +128,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	prefetchGlobal, prefetchBySigma, err := parsePrefetch(*prefetch)
+	prefetchDepth, err := parsePrefetch(*prefetch)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -139,8 +138,7 @@ func main() {
 		PoolShards:       *shards,
 		Seed:             masterSeed,
 		PRNG:             *prngName,
-		Prefetch:         prefetchGlobal,
-		PrefetchBySigma:  prefetchBySigma,
+		Prefetch:         prefetchDepth,
 		FalconN:          *falconN,
 		FalconKind:       kind,
 		FalconShards:     *falconShards,
@@ -310,43 +308,21 @@ func parseKind(s string) (falcon.BaseSamplerKind, error) {
 	return 0, fmt.Errorf("unknown -falcon-kind %q (want bitsliced, cdt, bytescan, linear or convolve)", s)
 }
 
-// parsePrefetch maps the -prefetch flag to server config: a bare depth
-// ("4") or "sync" applies to every pool; "σ=depth" entries override per
-// σ.  Entries combine: "-prefetch 8,6.15543=sync" runs σ=6.15543
-// synchronously and everything else 8 deep.
-func parsePrefetch(s string) (global int, bySigma map[string]int, err error) {
-	parseDepth := func(v string) (int, error) {
-		if v == "sync" {
-			return -1, nil
-		}
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 0 {
-			return 0, fmt.Errorf("-prefetch depth %q must be a non-negative integer or 'sync'", v)
-		}
-		if d == 0 {
-			return -1, nil // 0 refills of lookahead = synchronous
-		}
-		return d, nil
+// parsePrefetch maps the -prefetch flag to server config: empty keeps
+// the default, "sync" or "0" refills inline, and a positive depth sets
+// the lookahead of every pool.
+func parsePrefetch(s string) (int, error) {
+	switch s = strings.TrimSpace(s); s {
+	case "":
+		return 0, nil
+	case "sync", "0":
+		return -1, nil // 0 refills of lookahead = synchronous
 	}
-	for _, field := range splitList(s) {
-		if sigma, v, ok := strings.Cut(field, "="); ok {
-			d, err := parseDepth(v)
-			if err != nil {
-				return 0, nil, err
-			}
-			if bySigma == nil {
-				bySigma = make(map[string]int)
-			}
-			bySigma[strings.TrimSpace(sigma)] = d
-			continue
-		}
-		d, err := parseDepth(field)
-		if err != nil {
-			return 0, nil, err
-		}
-		global = d
+	d, err := strconv.Atoi(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("-prefetch %q: want a non-negative depth (e.g. 4) or 'sync'", s)
 	}
-	return global, bySigma, nil
+	return d, nil
 }
 
 func splitList(s string) []string {

@@ -24,6 +24,11 @@
 // most once per process no matter how many pools request it.  New and
 // NewWithConfig bypass the registry: each Sampler runs its own build so it
 // can expose the full pipeline artefacts (Prob, GenerateGo).
+//
+// For a σ no circuit was built for, large σ included, NewArbitrary
+// composes a small compiled base set into D_{ℤ,σ,μ} through a
+// convolution ladder that respects the smoothing condition at every
+// node.
 package ctgauss
 
 import (
@@ -196,18 +201,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("σ=%s n=%d: Δ=%d, %d leaves in %d sublists, %d word ops, %d bits/batch",
 		s.Sigma, s.Precision, s.Delta, s.Leaves, s.Sublists, s.WordOps, s.BitsPerBatch)
 }
-
-// LargeSigma combines a base sampler with the convolution z = z₁ + k·z₂ of
-// Pöppelmann-Ducas-Güneysu, yielding σ ≈ σ_base·√(1+k²) — the intended use
-// of small-σ base samplers for large-σ needs.
-type LargeSigma struct {
-	conv *sampler.Convolution
-}
-
-// NewLargeSigma wraps base (consumed exclusively) with combining factor k.
-func NewLargeSigma(base *Sampler, k int) *LargeSigma {
-	return &LargeSigma{conv: &sampler.Convolution{Base: base.inner, K: k}}
-}
-
-// Next returns one sample with the enlarged standard deviation.
-func (l *LargeSigma) Next() int { return l.conv.Next() }

@@ -134,52 +134,3 @@ func TestPublicBitsUsedConstant(t *testing.T) {
 		}
 	}
 }
-
-func TestPublicLargeSigma(t *testing.T) {
-	base, err := ctgauss.NewWithConfig(ctgauss.Config{Sigma: "2", Precision: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv := ctgauss.NewLargeSigma(base, 10)
-	var sq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := float64(conv.Next())
-		sq += v * v
-	}
-	want := 4.0 * (1 + 100)
-	if got := sq / n; math.Abs(got-want) > 0.1*want {
-		t.Fatalf("convolution variance %f, want ≈ %f", got, want)
-	}
-}
-
-// TestLargeSigmaMoments checks the convolution combiner against theory:
-// z = z₁ + k·z₂ over a base D_σ has mean 0 and standard deviation
-// σ·√(1+k²), for several k.
-func TestLargeSigmaMoments(t *testing.T) {
-	for _, k := range []int{3, 10} {
-		base, err := ctgauss.NewWithConfig(ctgauss.Config{Sigma: "2", Precision: 48})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conv := ctgauss.NewLargeSigma(base, k)
-		var sum, sq float64
-		const n = 200000
-		for i := 0; i < n; i++ {
-			v := float64(conv.Next())
-			sum += v
-			sq += v * v
-		}
-		sigma := 2 * math.Sqrt(1+float64(k*k))
-		mean := sum / n
-		variance := sq/n - mean*mean
-		// Tolerances are ≈7 standard errors of each estimator, so the
-		// (deterministic) seeded run sits far inside them.
-		if tol := 7 * sigma / math.Sqrt(n); math.Abs(mean) > tol {
-			t.Errorf("k=%d: mean %f, want |mean| < %f", k, mean, tol)
-		}
-		if tol := 7 * sigma * sigma * math.Sqrt(2.0/n); math.Abs(variance-sigma*sigma) > tol {
-			t.Errorf("k=%d: variance %f, want ≈ %f (±%f)", k, variance, sigma*sigma, tol)
-		}
-	}
-}

@@ -35,20 +35,6 @@ func ExampleSampler_NextBatch() {
 	// [1 0 -1 -4 1 -1 -2 -3]
 }
 
-func ExampleNewLargeSigma() {
-	// A small-σ base sampler plus the convolution z = z₁ + k·z₂ yields
-	// σ_eff ≈ σ_base·√(1+k²) — here ≈ 2·√(1+10²) ≈ 20.1 — far cheaper
-	// than building a circuit for σ = 20 directly.
-	base, err := ctgauss.NewWithConfig(ctgauss.Config{Sigma: "2", Precision: 48})
-	if err != nil {
-		panic(err)
-	}
-	wide := ctgauss.NewLargeSigma(base, 10)
-	fmt.Println(wide.Next(), wide.Next(), wide.Next())
-	// Output:
-	// 1 -41 -9
-}
-
 func ExampleNewPool() {
 	// A Pool serves one compiled circuit to any number of goroutines;
 	// shards hold independent PRNG streams derived from one seed.

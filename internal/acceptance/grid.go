@@ -72,10 +72,10 @@ func compiledSigmas(smoke bool) []string {
 }
 
 // convolvedGrid is the (σ, μ) cell set of the convolution surface: σ
-// spans the admissible range from just above MinSigma through the
-// LargeSigma ladder regime, μ sits on grid-cell boundaries (0, the
-// half-integer midpoint, and a negative quarter-fraction) — the centers
-// where the constant-time randomized rounding does real work.
+// spans the admissible range from just above convolve.DefaultMinSigma
+// into the multi-level ladder regime, μ sits on grid-cell boundaries
+// (0, the half-integer midpoint, and a negative quarter-fraction) — the
+// centers where the constant-time randomized rounding does real work.
 func convolvedGrid(smoke bool) (sigmas, mus []float64) {
 	if smoke {
 		return []float64{1.4142, 3.3, 17.5}, []float64{0, -2.625}

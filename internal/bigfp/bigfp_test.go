@@ -172,7 +172,7 @@ func TestGaussMuReducesToGauss(t *testing.T) {
 
 // TestPMFTableDriven pins the batch reference over the regimes the
 // acceptance grid sweeps: very small σ (below the smoothing parameter of
-// ℤ), the paper's base σ values, the LargeSigma convolution regime, and
+// ℤ), the paper's base σ values, the large-σ convolution regime, and
 // centers on grid-cell boundaries (integer, half-integer, and the
 // quarter-fraction boundaries the convolved sweep uses).
 func TestPMFTableDriven(t *testing.T) {

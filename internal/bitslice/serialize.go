@@ -24,8 +24,10 @@ func (p *Program) Validate() error {
 	if len(p.Code) > maxProgramCode {
 		return fmt.Errorf("bitslice: %d instructions exceeds cap %d", len(p.Code), maxProgramCode)
 	}
-	if p.ValueBits < 0 || p.ValueBits > 63 {
-		return fmt.Errorf("bitslice: ValueBits %d outside [0, 63]", p.ValueBits)
+	// A sampler circuit has at least one magnitude plane: the wide
+	// samplers slice one plane per 64-lane block out of the outputs.
+	if p.ValueBits < 1 || p.ValueBits > 63 {
+		return fmt.Errorf("bitslice: ValueBits %d outside [1, 63]", p.ValueBits)
 	}
 	if p.NumRegs != p.NumInputs+len(p.Code) {
 		return fmt.Errorf("bitslice: NumRegs %d, want NumInputs+len(Code) = %d", p.NumRegs, p.NumInputs+len(p.Code))

@@ -18,10 +18,12 @@
 //     D_{ℤ,σ,μ}.
 //
 // Base draws come from sharded wide samplers over registry artifacts
-// (one cache entry for the whole set, built in parallel), so refills
-// stay 512-lane batched exactly as in ctgauss.Pool; the subsystem turns
-// the build-once/serve-many stack into serve-anything without touching
-// the per-σ pipeline.
+// (one cache entry per member, the members built in parallel), so
+// refills stay 512-lane batched exactly as in ctgauss.Pool; the
+// subsystem turns the build-once/serve-many stack into serve-anything
+// without touching the per-σ pipeline.  It is also the repository's
+// only large-σ path (plan.go says why the flat z₁ + k·z₂ combine is not
+// one).
 //
 // The public surface is ctgauss.NewArbitrary; internal/falcon routes its
 // SamplerZ through this package behind the BaseConvolve flag, and
@@ -44,7 +46,6 @@ import (
 
 	"ctgauss/internal/core"
 	"ctgauss/internal/engine"
-	"ctgauss/internal/gaussian"
 	"ctgauss/internal/obs"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/registry"
@@ -60,9 +61,10 @@ var DefaultBases = []string{"2", "6.15543"}
 // any shard is healthy, draws fail over to it transparently.
 var ErrDegraded = errors.New("convolve: all shards poisoned")
 
-// Default request bounds.  MinSigma keeps the dominating proposal's
-// overshoot (and so the trial count) bounded; MaxSigma bounds the
-// convolution coefficient.
+// Request bounds.  DefaultMinSigma keeps the dominating proposal's
+// overshoot (and so the trial count) bounded; DefaultMaxSigma bounds the
+// convolution coefficient, and a base set whose menu tops out below it
+// serves up to its widest recipe instead.
 const (
 	DefaultMinSigma = 0.9
 	DefaultMaxSigma = 4096
@@ -78,11 +80,9 @@ type Config struct {
 	// DefaultBases).  The smallest member is the fine convolution
 	// component and must be ≥ 1 (≈ the smoothing parameter of ℤ, so the
 	// convolved proposal stays pointwise close to a Gaussian).
+	// Each member is built with core.DefaultConfig (n = 128, τ = 13,
+	// the paper's Falcon setting).
 	Bases []string
-	// Precision and TailCut configure the base circuits (defaults 128
-	// and 13, the paper's Falcon setting).
-	Precision int
-	TailCut   float64
 	// Shards is the concurrency width: each shard owns independent base
 	// sampler streams and a coin stream (0 = NumCPU).
 	Shards int
@@ -96,9 +96,6 @@ type Config struct {
 	// Workers bounds the build parallelism of a cold base-set
 	// compilation (0 = all CPUs); it never changes the artifacts.
 	Workers int
-	// MinSigma and MaxSigma bound admissible requests (defaults
-	// DefaultMinSigma, DefaultMaxSigma).
-	MinSigma, MaxSigma float64
 	// Prefetch is the refill lookahead per (shard, base member) stream
 	// on the engine runtime: 0 = engine.DefaultDepth, negative =
 	// synchronous refill.  Per-stream draws are bit-identical at any
@@ -110,12 +107,6 @@ func (c Config) normalize() Config {
 	if len(c.Bases) == 0 {
 		c.Bases = DefaultBases
 	}
-	if c.Precision == 0 {
-		c.Precision = 128
-	}
-	if c.TailCut == 0 {
-		c.TailCut = gaussian.DefaultTailCut
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.NumCPU()
 	}
@@ -124,12 +115,6 @@ func (c Config) normalize() Config {
 	}
 	if c.PRNG == "" {
 		c.PRNG = prng.Serving()
-	}
-	if c.MinSigma == 0 {
-		c.MinSigma = DefaultMinSigma
-	}
-	if c.MaxSigma == 0 {
-		c.MaxSigma = DefaultMaxSigma
 	}
 	return c
 }
@@ -156,10 +141,9 @@ type shard struct {
 // Close to stop the producers when done.
 type Sampler struct {
 	cfg        Config
-	set        *registry.SetArtifact
 	baseSigmas []float64
+	maxSigma   float64   // widest admissible σ (see New)
 	menu       []*recipe // admissible ladder recipes, sorted by width
-	terms      [][]term  // menu[i] flattened, shared by every plan it serves
 	shards     []*shard
 	engines    []*engine.Engine[int] // one per base member
 	baseBits   []uint64              // random bits per refill, per base member
@@ -169,8 +153,8 @@ type Sampler struct {
 	accepted atomic.Uint64
 }
 
-// New compiles (or loads) the base set as one registry artifact and
-// builds the sharded sampler over it.
+// New compiles (or loads) the base set's circuits through the registry
+// and builds the sharded sampler over them.
 func New(cfg Config) (*Sampler, error) {
 	cfg = cfg.normalize()
 	cores := make([]core.Config, len(cfg.Bases))
@@ -185,25 +169,24 @@ func New(cfg Config) (*Sampler, error) {
 		if sf < sigmas[fine] {
 			fine = i
 		}
-		cores[i] = core.Config{Sigma: b, N: cfg.Precision, TailCut: cfg.TailCut, Min: core.MinimizeExact, Workers: cfg.Workers}
+		cores[i] = core.DefaultConfig(b)
+		cores[i].Workers = cfg.Workers
 	}
 	if sigmas[fine] < 1 {
 		return nil, fmt.Errorf("convolve: smallest base σ = %g < 1; the fine convolution component must exceed the smoothing parameter of ℤ", sigmas[fine])
 	}
-	set, err := registry.Shared().GetSet(cores)
+	members, err := registry.Shared().GetSet(cores)
 	if err != nil {
 		return nil, fmt.Errorf("convolve: building base set: %w", err)
 	}
-	menu, terms := buildMenu(sigmas, cfg.MaxSigma)
+	menu := buildMenu(sigmas)
 	// The admissible range is what the menu can dominate: a narrow base
 	// set (small members bound the ladder coefficients) may top out
-	// below the configured MaxSigma, and a request beyond the widest
-	// recipe must be rejected — never served by a narrower proposal,
-	// which would emit the wrong distribution.
-	if widest := menu[len(menu)-1].width; cfg.MaxSigma > widest {
-		cfg.MaxSigma = widest
-	}
-	s := &Sampler{cfg: cfg, set: set, baseSigmas: sigmas, menu: menu, terms: terms, shards: make([]*shard, cfg.Shards)}
+	// below DefaultMaxSigma, and a request beyond the widest recipe must
+	// be rejected — never served by a narrower proposal, which would
+	// emit the wrong distribution.
+	maxSigma := math.Min(DefaultMaxSigma, menu[len(menu)-1].width)
+	s := &Sampler{cfg: cfg, baseSigmas: sigmas, maxSigma: maxSigma, menu: menu, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
 		src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i, coinRole))
 		if err != nil {
@@ -221,13 +204,13 @@ func New(cfg Config) (*Sampler, error) {
 	case depth < 0:
 		depth = 0
 	}
-	s.engines = make([]*engine.Engine[int], len(set.Members))
-	s.baseBits = make([]uint64, len(set.Members))
+	s.engines = make([]*engine.Engine[int], len(members))
+	s.baseBits = make([]uint64, len(members))
 	// Base evaluation width follows the active SIMD backend; captured once
 	// here so every member's stream, refill quantum, and bit ledger agree
 	// even if a test flips the backend mid-lifetime.
 	baseWidth := sampler.NativeWidth()
-	for bi, art := range set.Members {
+	for bi, art := range members {
 		art := art
 		bi := bi
 		mkWide := func(i int) (sampler.BatchSampler, error) {
@@ -299,8 +282,8 @@ func shardSeed(seed []byte, shard, role int) []byte {
 
 // check validates one request.
 func (s *Sampler) check(sigma, mu float64) error {
-	if math.IsNaN(sigma) || sigma < s.cfg.MinSigma || sigma > s.cfg.MaxSigma {
-		return fmt.Errorf("convolve: σ = %g outside the served range [%g, %g]", sigma, s.cfg.MinSigma, s.cfg.MaxSigma)
+	if math.IsNaN(sigma) || sigma < DefaultMinSigma || sigma > s.maxSigma {
+		return fmt.Errorf("convolve: σ = %g outside the served range [%g, %g]", sigma, DefaultMinSigma, s.maxSigma)
 	}
 	if math.IsNaN(mu) || math.Abs(mu) > 1<<52 {
 		return fmt.Errorf("convolve: center μ = %g is not a representable center", mu)
@@ -522,7 +505,6 @@ type Stats struct {
 	Bases      []string // base-set σ strings
 	BaseSigmas []float64
 	Shards     int
-	FromCache  bool   // base set loaded from the registry's disk cache
 	Trials     uint64 // combine/round trials evaluated
 	Accepted   uint64 // trials accepted (≥ samples handed out)
 }
@@ -541,14 +523,13 @@ func (s *Sampler) Stats() Stats {
 		Bases:      append([]string(nil), s.cfg.Bases...),
 		BaseSigmas: append([]float64(nil), s.baseSigmas...),
 		Shards:     len(s.shards),
-		FromCache:  s.set.FromDisk,
 		Trials:     s.trials.Load(),
 		Accepted:   s.accepted.Load(),
 	}
 }
 
 // Bounds returns the admissible σ range.
-func (s *Sampler) Bounds() (min, max float64) { return s.cfg.MinSigma, s.cfg.MaxSigma }
+func (s *Sampler) Bounds() (min, max float64) { return DefaultMinSigma, s.maxSigma }
 
 // Health merges the per-shard fault-isolation state across the base
 // engines: shard i is poisoned (or dead) if it is poisoned (dead) in any

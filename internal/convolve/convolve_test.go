@@ -274,7 +274,9 @@ func TestCombineRoundTimingDudect(t *testing.T) {
 // outputs for (σ, μ) pairs that no compiled circuit serves must pass the
 // chi-square / Rényi harness against the ideal D_{ℤ,σ,μ}.  All pairs are
 // outside the base set; one uses a non-zero center, one a non-integer σ
-// below the coarse members, one a σ far above every member.
+// below the coarse members, two a σ far above every member.  The widest,
+// 6.15543·√(1+35²), is where the flat combine z₁ + 35·z₂ over the σ =
+// 6.15543 circuit emits a comb; the ladder must stay a Gaussian there.
 func TestStatisticalAcceptance(t *testing.T) {
 	s := shared(t)
 	pairs := []struct {
@@ -285,6 +287,7 @@ func TestStatisticalAcceptance(t *testing.T) {
 		{1.4142, -2.625, 150000},
 		{17.5, 0.375, 150000},
 		{42.7, -0.5, 120000},
+		{215.53, 0, 400000},
 	}
 	for _, pc := range pairs {
 		dst := make([]int, pc.n)
@@ -339,11 +342,11 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestNarrowBaseSetClampsMaxSigma: a base set whose ladder menu cannot
-// reach the configured MaxSigma must clamp the admissible range, so a
+// reach DefaultMaxSigma must clamp the admissible range, so a
 // request the menu cannot dominate is rejected rather than served by a
 // narrower proposal (which would emit the wrong distribution).
 func TestNarrowBaseSetClampsMaxSigma(t *testing.T) {
-	s, err := New(Config{Bases: []string{"1.2"}, Shards: 1, Precision: 32, Seed: []byte("narrow")})
+	s, err := New(Config{Bases: []string{"1.2"}, Shards: 1, Seed: []byte("narrow")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +426,10 @@ func TestDeterministicStreams(t *testing.T) {
 func TestAsyncMatchesSyncConvolve(t *testing.T) {
 	mk := func(prefetch int) *Sampler {
 		s, err := New(Config{
-			Bases:     []string{"2"},
-			Precision: 48,
-			Shards:    2,
-			Seed:      []byte("engine-identity"),
-			Prefetch:  prefetch,
+			Bases:    []string{"2"},
+			Shards:   2,
+			Seed:     []byte("engine-identity"),
+			Prefetch: prefetch,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -66,7 +66,8 @@ type recipe struct {
 	a     int64
 	left  *recipe // nil at leaves
 	right *recipe
-	base  int // leaf base index
+	base  int    // leaf base index
+	terms []term // the tree flattened; set on menu recipes only
 }
 
 // flatten emits the recipe's terms, multiplying coefficients down the
@@ -92,42 +93,43 @@ const (
 )
 
 // buildMenu enumerates admissible ladder recipes over the base widths up
-// to ~1.5× maxSigma and keeps, per 2% width bucket, the cheapest (then
-// narrowest) recipe, sorted by width.  terms[i] is menu[i] flattened.
-// The enumeration allocates millions of recipes, so the terms are kept
-// beside the menu rather than in a recipe field.
-func buildMenu(baseSigmas []float64, maxSigma float64) (menu []*recipe, terms [][]term) {
-	limit := maxSigma * 1.5
+// to 1.5× DefaultMaxSigma and keeps, per 2% width bucket, the cheapest
+// (then narrowest) recipe.  The winners live in a slice indexed by
+// bucket, so the kept recipes are already in width order, and a recipe
+// is allocated only when it wins its bucket: of the ~2 million
+// candidates the default base set enumerates, a few thousand ever do.
+func buildMenu(baseSigmas []float64) []*recipe {
+	limit := DefaultMaxSigma * 1.5
 	logRatio := math.Log(menuBucketRatio)
 	bucketOf := func(w float64) int { return int(math.Log(w) / logRatio) }
-	best := make(map[int]*recipe)
-	consider := func(rc *recipe) {
-		b := bucketOf(rc.width)
-		cur, ok := best[b]
-		if !ok || rc.draws < cur.draws || (rc.draws == cur.draws && rc.width < cur.width) {
-			best[b] = rc
+	// Combined widths stop at limit, but a base member may be wider.
+	top := limit
+	for _, bs := range baseSigmas {
+		top = math.Max(top, bs)
+	}
+	best := make([]*recipe, bucketOf(top)+1)
+	consider := func(w float64, draws int, a int64, l, r *recipe, base int) {
+		b := bucketOf(w)
+		if cur := best[b]; cur == nil || draws < cur.draws || (draws == cur.draws && w < cur.width) {
+			best[b] = &recipe{width: w, draws: draws, a: a, left: l, right: r, base: base}
 		}
 	}
 	for bi, bs := range baseSigmas {
-		consider(&recipe{width: bs, draws: 1, base: bi})
+		consider(bs, 1, 0, nil, nil, bi)
 	}
-	// Map iteration order is randomized; expansion must visit recipes in
-	// a fixed order so tie-breaks — and therefore the selected trees and
-	// their draw order — are identical in every process.
-	snapshot := func() []*recipe {
-		buckets := make([]int, 0, len(best))
-		for b := range best {
-			buckets = append(buckets, b)
+	// Each round expands the winners as they stood when it began, in
+	// width order, so tie-breaks are the same in every process.
+	kept := func(dst []*recipe) []*recipe {
+		for _, rc := range best {
+			if rc != nil {
+				dst = append(dst, rc)
+			}
 		}
-		sort.Ints(buckets)
-		cur := make([]*recipe, 0, len(buckets))
-		for _, b := range buckets {
-			cur = append(cur, best[b])
-		}
-		return cur
+		return dst
 	}
+	var cur []*recipe
 	for round := 0; round < menuRounds; round++ {
-		cur := snapshot()
+		cur = kept(cur[:0])
 		for _, l := range cur {
 			for _, r := range cur {
 				amax := int64(r.width) // smoothing condition: a ≤ w_R
@@ -143,28 +145,27 @@ func buildMenu(baseSigmas []float64, maxSigma float64) (menu []*recipe, terms []
 					if w > limit {
 						break
 					}
-					consider(&recipe{width: w, draws: draws, a: a, left: l, right: r})
+					consider(w, draws, a, l, r, 0)
 				}
 			}
 		}
 	}
-	menu = snapshot()
-	terms = make([][]term, len(menu))
-	for i, rc := range menu {
-		terms[i] = rc.flatten(1, nil)
+	menu := kept(nil)
+	for _, rc := range menu {
+		rc.terms = rc.flatten(1, nil)
 	}
-	return menu, terms
+	return menu
 }
 
 // planOf selects the narrowest dominating recipe for sigma.  The menu
 // always contains the base leaves, the smallest leaf dominates every σ
-// below it, and New clamps MaxSigma to the widest recipe, so a
-// dominating recipe exists for every admissible σ.  It runs once per
+// below it, and New clamps the admissible range to the widest recipe,
+// so a dominating recipe exists for every admissible σ.  It runs once per
 // request and allocates nothing: the terms are the menu's own.
 func (s *Sampler) planOf(sigma float64) plan {
 	i := sort.Search(len(s.menu), func(i int) bool { return s.menu[i].width >= sigma })
 	if i == len(s.menu) {
-		// Unreachable for admissible σ (see the MaxSigma clamp in New);
+		// Unreachable for admissible σ (see the maxSigma clamp in New);
 		// serving a narrower proposal would emit the wrong distribution,
 		// so fail loudly rather than fall back.
 		panic(fmt.Sprintf("convolve: no recipe dominates σ=%g (menu tops out at %g)", sigma, s.menu[len(s.menu)-1].width))
@@ -173,7 +174,7 @@ func (s *Sampler) planOf(sigma float64) plan {
 	return plan{
 		Sigma:          sigma,
 		SigmaP:         rc.width,
-		Terms:          s.terms[i],
+		Terms:          rc.terms,
 		invTwoSigmaSq:  1 / (2 * sigma * sigma),
 		invTwoSigmaPSq: 1 / (2 * rc.width * rc.width),
 	}

@@ -9,9 +9,11 @@
 // so an N-goroutine cold start runs exactly one minimization per key.
 //
 // Consumers: ctgauss.Pool (and through it the internal/server HTTP
-// layer) resolves its circuit here, so every pool and daemon in a
-// process shares one build per configuration; ctgaussd's -cache flag is
-// this package's CTGAUSS_CACHE_DIR.
+// layer) resolves its circuit here, and the convolution layer
+// (internal/convolve) resolves its base set member by member through
+// GetSet, so every pool, base set and daemon in a process shares one
+// build per configuration.  The disk cache holds one file per circuit;
+// ctgaussd's -cache flag is this package's CTGAUSS_CACHE_DIR.
 package registry
 
 import (
@@ -119,9 +121,8 @@ type Stats struct {
 type Registry struct {
 	dir string // on-disk cache directory; "" = memory only
 
-	mu         sync.Mutex
-	entries    map[Key]*entry
-	setEntries map[string]*setEntry
+	mu      sync.Mutex
+	entries map[Key]*entry
 
 	builds   atomic.Uint64
 	memHits  atomic.Uint64
@@ -135,19 +136,12 @@ type entry struct {
 	err   error
 }
 
-// setEntry is the singleflight slot of a base-set resolution.
-type setEntry struct {
-	ready chan struct{}
-	art   *SetArtifact
-	err   error
-}
-
 // New creates a registry.  dir is the on-disk cache directory ("" disables
 // disk caching); it is created on first write.  dir must be private to
 // trusted users: cache files are only structurally validated on load, so
 // anyone who can write there can substitute a biased sampler circuit.
 func New(dir string) *Registry {
-	return &Registry{dir: dir, entries: make(map[Key]*entry), setEntries: make(map[string]*setEntry)}
+	return &Registry{dir: dir, entries: make(map[Key]*entry)}
 }
 
 // shared is the process-wide registry behind Shared.
@@ -235,81 +229,23 @@ func (r *Registry) Stats() Stats {
 	}
 }
 
-// SetArtifact is the resolution of a whole base set as one unit: the
-// compiled circuits of every member, in request order.  It is the
-// artifact behind the convolution layer (internal/convolve), which
-// composes a fixed set of base circuits into arbitrary-(σ, μ) samples,
-// so the set — not any individual member — is the deployment unit: one
-// registry entry, one disk cache file, one parallel cold build.
-type SetArtifact struct {
-	Keys    []Key
-	Members []*Artifact
-	// FromDisk reports whether the whole set was satisfied by its single
-	// on-disk cache file (members may individually come from disk even
-	// when this is false; see GetSet).
-	FromDisk bool
-}
-
-// setID canonically identifies an ordered member-key list.
-func setID(keys []Key) string {
-	b, _ := json.Marshal(keys)
-	return string(b)
-}
-
-// GetSet resolves every cfg as one artifact, building at most once per
-// process per member list.  Resolution order: in-memory set map, then
-// the single on-disk set file, then member-wise resolution through Get —
-// each member build running concurrently (and internally parallelized
-// by its Config.Workers), with the assembled set written through to one
-// set cache file.  Either path seeds the per-member entries, so later
-// per-σ Gets (e.g. a ctgauss.Pool over one member) are memory hits.
-func (r *Registry) GetSet(cfgs []core.Config) (*SetArtifact, error) {
+// GetSet resolves every cfg through Get, concurrently, and returns the
+// artifacts in request order.  Each member is one registry entry and,
+// under a cache directory, one cache file, so a set shares its builds
+// with per-σ Gets (e.g. a ctgauss.Pool over one member) in either
+// order.
+func (r *Registry) GetSet(cfgs []core.Config) ([]*Artifact, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("registry: empty base set")
 	}
-	keys := make([]Key, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i] = KeyFor(cfg)
-	}
-	id := setID(keys)
-	r.mu.Lock()
-	if e, ok := r.setEntries[id]; ok {
-		r.mu.Unlock()
-		<-e.ready
-		return e.art, e.err
-	}
-	e := &setEntry{ready: make(chan struct{})}
-	r.setEntries[id] = e
-	r.mu.Unlock()
-
-	e.art, e.err = r.loadSet(id, keys, cfgs)
-	if e.err != nil {
-		r.mu.Lock()
-		delete(r.setEntries, id)
-		r.mu.Unlock()
-	}
-	close(e.ready)
-	return e.art, e.err
-}
-
-func (r *Registry) loadSet(id string, keys []Key, cfgs []core.Config) (*SetArtifact, error) {
-	if r.dir != "" {
-		if set := r.loadSetDisk(id, keys); set != nil {
-			r.diskHits.Add(1)
-			for i, art := range set.Members {
-				r.seed(keys[i], art)
-			}
-			return set, nil
-		}
-	}
-	set := &SetArtifact{Keys: keys, Members: make([]*Artifact, len(cfgs))}
-	var wg sync.WaitGroup
+	arts := make([]*Artifact, len(cfgs))
 	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
 	for i := range cfgs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			set.Members[i], errs[i] = r.Get(cfgs[i])
+			arts[i], errs[i] = r.Get(cfgs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -318,91 +254,7 @@ func (r *Registry) loadSet(id string, keys []Key, cfgs []core.Config) (*SetArtif
 			return nil, err
 		}
 	}
-	if r.dir != "" {
-		_ = r.storeSetDisk(id, set) // best effort, like storeDisk
-	}
-	return set, nil
-}
-
-// seed inserts an already-resolved artifact under key if absent, so
-// set-level resolution makes later member-wise Gets memory hits.
-func (r *Registry) seed(key Key, art *Artifact) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[key]; ok {
-		return
-	}
-	e := &entry{ready: make(chan struct{}), art: art}
-	close(e.ready)
-	r.entries[key] = e
-}
-
-// diskSet is the JSON layout of the single set cache file.
-type diskSet struct {
-	Version int
-	Keys    []Key
-	Members []diskArtifact
-}
-
-// setPath content-addresses the set cache file by its member-key list.
-func (r *Registry) setPath(id string) string {
-	sum := sha256.Sum256([]byte(id))
-	return filepath.Join(r.dir, "ctgauss-set-"+hex.EncodeToString(sum[:8])+".json")
-}
-
-// loadSetDisk returns the cached set or nil if absent/stale/corrupt.
-func (r *Registry) loadSetDisk(id string, keys []Key) *SetArtifact {
-	data, err := os.ReadFile(r.setPath(id))
-	if err != nil {
-		return nil
-	}
-	var ds diskSet
-	if err := json.Unmarshal(data, &ds); err != nil {
-		return nil
-	}
-	if ds.Version != diskFormatVersion || len(ds.Keys) != len(keys) || len(ds.Members) != len(keys) {
-		return nil
-	}
-	set := &SetArtifact{Keys: keys, Members: make([]*Artifact, len(keys)), FromDisk: true}
-	for i, da := range ds.Members {
-		if ds.Keys[i] != keys[i] || da.Key != keys[i] || da.Program == nil || da.Program.Validate() != nil {
-			return nil
-		}
-		set.Members[i] = &Artifact{
-			Key:          da.Key,
-			Program:      da.Program,
-			Support:      da.Support,
-			Delta:        da.Delta,
-			LeafCount:    da.LeafCount,
-			SublistCount: da.SublistCount,
-			FromDisk:     true,
-		}
-	}
-	return set
-}
-
-// storeSetDisk writes the whole set atomically as one cache file.
-func (r *Registry) storeSetDisk(id string, set *SetArtifact) error {
-	if err := os.MkdirAll(r.dir, 0o700); err != nil {
-		return err
-	}
-	ds := diskSet{Version: diskFormatVersion, Keys: set.Keys}
-	for _, art := range set.Members {
-		ds.Members = append(ds.Members, diskArtifact{
-			Version:      diskFormatVersion,
-			Key:          art.Key,
-			Support:      art.Support,
-			Delta:        art.Delta,
-			LeafCount:    art.LeafCount,
-			SublistCount: art.SublistCount,
-			Program:      art.Program,
-		})
-	}
-	data, err := json.Marshal(ds)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(r.dir, r.setPath(id), data)
+	return arts, nil
 }
 
 // diskArtifact is the JSON cache-file layout.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -245,7 +246,7 @@ func TestGetSetSeedsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Members) != 2 || set.FromDisk {
+	if len(set) != 2 || set[0].FromDisk || set[1].FromDisk {
 		t.Fatalf("set = %+v, want 2 freshly built members", set)
 	}
 	if st := r.Stats(); st.Builds != 2 {
@@ -256,100 +257,29 @@ func TestGetSetSeedsMembers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != set.Members[i] {
+		if a != set[i] {
 			t.Fatalf("member %d: Get returned a different artifact than the set", i)
 		}
 	}
 	if st := r.Stats(); st.Builds != 2 || st.MemHits != 2 {
 		t.Fatalf("stats = %+v, want member Gets to be memory hits", st)
 	}
-	// The same set again is one memoized entry.
+	// The same set again resolves to the same artifacts.
 	set2, err := r.GetSet(testSetCfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set2 != set {
-		t.Fatal("second GetSet returned a different set artifact")
+	if !slices.Equal(set2, set) {
+		t.Fatal("second GetSet returned different artifacts")
 	}
 }
 
-// TestGetSetDiskRoundTrip: a second process over the same cache dir must
-// load the whole set from its single cache file — zero builds — and the
-// members must be bit-identical.
-func TestGetSetDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	r1 := New(dir)
-	set1, err := r1.GetSet(testSetCfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := filepath.Glob(filepath.Join(dir, "ctgauss-set-*.json"))
-	if err != nil || len(sets) != 1 {
-		t.Fatalf("set cache files: %v, %v — want exactly one entry for the whole set", sets, err)
-	}
-
-	r2 := New(dir)
-	set2, err := r2.GetSet(testSetCfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !set2.FromDisk {
-		t.Fatal("second process did not load the set from disk")
-	}
-	if st := r2.Stats(); st.Builds != 0 {
-		t.Fatalf("stats = %+v, want zero builds on a set disk hit", st)
-	}
-	for i := range set1.Members {
-		want := drain(t, set1.Members[i], 128)
-		got := drain(t, set2.Members[i], 128)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("member %d sample %d: disk-loaded %d, built %d", i, j, got[j], want[j])
-			}
-		}
-	}
-	// Member-wise Gets after a set disk hit are memory hits too.
-	if _, err := r2.Get(testSetCfgs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := r2.Stats(); st.Builds != 0 || st.MemHits != 1 {
-		t.Fatalf("stats = %+v, want a seeded memory hit", st)
-	}
-}
-
-// TestGetSetCorruptFallsBack: a damaged set file degrades to member-wise
-// resolution (which may itself hit member files), never to an error.
-func TestGetSetCorruptFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	r1 := New(dir)
-	if _, err := r1.GetSet(testSetCfgs); err != nil {
-		t.Fatal(err)
-	}
-	sets, _ := filepath.Glob(filepath.Join(dir, "ctgauss-set-*.json"))
-	if len(sets) != 1 {
-		t.Fatalf("want one set file, got %v", sets)
-	}
-	if err := os.WriteFile(sets[0], []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2 := New(dir)
-	set, err := r2.GetSet(testSetCfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.FromDisk {
-		t.Fatal("corrupt set file reported as a disk hit")
-	}
-	// Members still resolve from their per-member cache files.
-	if st := r2.Stats(); st.Builds != 0 || st.DiskHits != 2 {
-		t.Fatalf("stats = %+v, want member-wise disk hits", st)
-	}
-}
-
+// TestGetSetSingleflight: racing set resolutions share one build per
+// member and see the same artifacts.
 func TestGetSetSingleflight(t *testing.T) {
 	r := New("")
 	const goroutines = 16
-	sets := make([]*SetArtifact, goroutines)
+	sets := make([][]*Artifact, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
@@ -365,8 +295,8 @@ func TestGetSetSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if sets[i] != sets[0] {
-			t.Fatal("goroutines observed different set artifacts")
+		if !slices.Equal(sets[i], sets[0]) {
+			t.Fatalf("goroutine %d observed different artifacts", i)
 		}
 	}
 	if st := r.Stats(); st.Builds != 2 {

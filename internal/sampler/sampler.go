@@ -2,8 +2,9 @@
 // evaluates: the constant-time bitsliced Knuth-Yao sampler (this work and
 // the simple-minimization baseline of [21]), three CDT-based samplers
 // (binary search [26], byte-scanning [13], and the linear-search
-// constant-time variant [7]), the reference column-scanning Knuth-Yao
-// sampler (Alg. 1), and the convolution combiner of [25,28] for large σ.
+// constant-time variant [7]) and the reference column-scanning
+// Knuth-Yao sampler (Alg. 1).  Large σ, the convolution of [25,28], is
+// internal/convolve's job.
 //
 // All samplers return signed samples: the magnitude follows the folded
 // distribution (p₀ = D(0), p_v = 2·D(v)), and an independent sign bit maps
@@ -242,25 +243,6 @@ func (k *KnuthYao) Next() int {
 		}
 		return applySign(v, uint64(k.rd.Bit()))
 	}
-}
-
-// Convolution combines two base samples as z = z₁ + k·z₂, realising a
-// discrete Gaussian with σ ≈ σ_base·√(1+k²) from a small base sampler —
-// the construction of [25,28] that the paper's base samplers feed.
-type Convolution struct {
-	Base Sampler
-	K    int
-}
-
-// Name implements Sampler.
-func (c *Convolution) Name() string { return fmt.Sprintf("conv(%s,k=%d)", c.Base.Name(), c.K) }
-
-// BitsUsed implements Sampler.
-func (c *Convolution) BitsUsed() uint64 { return c.Base.BitsUsed() }
-
-// Next implements Sampler.
-func (c *Convolution) Next() int {
-	return c.Base.Next() + c.K*c.Base.Next()
 }
 
 // cdtEntry is a 128-bit left-aligned cumulative probability.

@@ -138,28 +138,6 @@ func TestByteScanStepsCorrelateWithSample(t *testing.T) {
 	}
 }
 
-func TestConvolutionVariance(t *testing.T) {
-	table := tbl(t, "2", 64)
-	base := NewKnuthYao(table, prng.MustChaCha20([]byte("conv")))
-	c := &Convolution{Base: base, K: 4}
-	var sum, sq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := float64(c.Next())
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	// σ² = σ_b²(1+k²) = 4·17 = 68.
-	if math.Abs(variance-68) > 3 {
-		t.Fatalf("conv variance = %.2f, want ≈ 68", variance)
-	}
-	if c.Name() == "" || c.BitsUsed() == 0 {
-		t.Fatal("metadata missing")
-	}
-}
-
 func TestApplySign(t *testing.T) {
 	if applySign(5, 0) != 5 || applySign(5, 1) != -5 || applySign(0, 1) != 0 {
 		t.Fatalf("applySign broken: %d %d %d", applySign(5, 0), applySign(5, 1), applySign(0, 1))

@@ -74,45 +74,20 @@ func (m *metrics) index(name string) int {
 }
 
 // sigmaStats is one precompiled σ pool's telemetry joined into the
-// scrape, read from the pool engine's unified ledger.
+// scrape: the pool engine's unified ledger plus the pool's width and
+// ring occupancy.
 type sigmaStats struct {
+	ctgauss.EngineStats
 	sigma            string
-	batches          uint64
-	refills          uint64 // refills whose consumption began (sync-equivalent evaluations)
-	samples          uint64
 	batchesPerRefill int
-	shards           int
-	prefetch         int    // configured lookahead depth (0 = synchronous)
-	refillsProduced  uint64 // fills completed, including unconsumed lookahead
-	prefetchHits     uint64
-	prefetchMisses   uint64
-	producerRestarts uint64 // refill panics recovered (producer restarted)
-	refillsDiscarded uint64 // refills abandoned by a panicking fill
-	shardsPoisoned   int    // shards currently poisoned
 	rings            []ctgauss.RingStat
 }
 
 func poolStats(sigma string, pool *ctgauss.Pool) sigmaStats {
-	es := pool.EngineStats()
 	return sigmaStats{
-		sigma: sigma,
-		// One "batch" is the pool's native 64-sample granularity; the
-		// engine ledger counts samples exactly, so the derived batch
-		// counter advances once per 64 consumed — and refills started ×
-		// batches-per-refill reconciles with it, as the coalescing test
-		// pins.
-		batches:          es.SamplesServed / 64,
-		refills:          es.RefillsStarted,
-		samples:          es.SamplesServed,
+		EngineStats:      pool.EngineStats(),
+		sigma:            sigma,
 		batchesPerRefill: pool.Stats().BatchesPerRefill,
-		shards:           es.Shards,
-		prefetch:         es.Prefetch,
-		refillsProduced:  es.RefillsProduced,
-		prefetchHits:     es.PrefetchHits,
-		prefetchMisses:   es.PrefetchMisses,
-		producerRestarts: es.ProducerRestarts,
-		refillsDiscarded: es.RefillsDiscarded,
-		shardsPoisoned:   es.ShardsPoisoned,
 		rings:            pool.RingStats(),
 	}
 }
@@ -294,17 +269,21 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	sigmas := d.sigmas
 	sort.Slice(sigmas, func(i, j int) bool { return sigmas[i].sigma < sigmas[j].sigma })
 	sigLabel := func(sigma string) string { return fmt.Sprintf("{sigma=%q}", sigma) }
+	// One "batch" is the pool's native 64-sample granularity; the engine
+	// ledger counts samples exactly, so the batch counter advances once
+	// per 64 consumed, and refills started × batches per refill
+	// reconciles with it, as the coalescing test pins.
 	f = ps.family("ctgaussd_batches_total", "counter", "64-sample batches consumed from the pool's engine per sigma (served samples / 64).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.batches)
+		f.rowf(sigLabel(s.sigma), "%d", s.SamplesServed/64)
 	}
 	f = ps.family("ctgaussd_refills_total", "counter", "Circuit evaluations whose output entered the served stream per sigma (prefetch lookahead counts on first consumption; see _refills_produced_total).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refills)
+		f.rowf(sigLabel(s.sigma), "%d", s.RefillsStarted)
 	}
 	f = ps.family("ctgaussd_pool_samples_total", "counter", "Samples consumed from the pool's engine per sigma (exactly what clients were served).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.samples)
+		f.rowf(sigLabel(s.sigma), "%d", s.SamplesServed)
 	}
 	f = ps.family("ctgaussd_batches_per_refill", "gauge", "Evaluation width of the pool's engine (batches per refill).")
 	for _, s := range sigmas {
@@ -312,23 +291,23 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	}
 	f = ps.family("ctgaussd_pool_shards", "gauge", "Shard count of the per-sigma sampling pool.")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.shards)
+		f.rowf(sigLabel(s.sigma), "%d", s.Shards)
 	}
 	f = ps.family("ctgaussd_prefetch_depth", "gauge", "Configured refill lookahead per shard (0 = synchronous refill).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetch)
+		f.rowf(sigLabel(s.sigma), "%d", s.Prefetch)
 	}
 	f = ps.family("ctgaussd_refills_produced_total", "counter", "Circuit evaluations completed by the refill producers, including lookahead not yet consumed (>= ctgaussd_refills_total).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refillsProduced)
+		f.rowf(sigLabel(s.sigma), "%d", s.RefillsProduced)
 	}
 	f = ps.family("ctgaussd_prefetch_hits_total", "counter", "Draws served without waiting for a refill (the engine ring held data).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetchHits)
+		f.rowf(sigLabel(s.sigma), "%d", s.PrefetchHits)
 	}
 	f = ps.family("ctgaussd_prefetch_misses_total", "counter", "Draws that waited on a producer (async) or evaluated inline (sync).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetchMisses)
+		f.rowf(sigLabel(s.sigma), "%d", s.PrefetchMisses)
 	}
 
 	// Fault-isolation telemetry: the arbitrary layer's base engines are
@@ -336,21 +315,21 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	// in the process.
 	f = ps.family("ctgaussd_engine_producer_restarts_total", "counter", "Refill panics recovered per pool (the producer restarted after backoff).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.producerRestarts)
+		f.rowf(sigLabel(s.sigma), "%d", s.ProducerRestarts)
 	}
 	if d.arb != nil {
 		f.rowf(sigLabel("arbitrary"), "%d", d.arb.producerRestarts)
 	}
 	f = ps.family("ctgaussd_engine_refills_discarded_total", "counter", "Refills abandoned by a panicking fill per pool (never served).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refillsDiscarded)
+		f.rowf(sigLabel(s.sigma), "%d", s.RefillsDiscarded)
 	}
 	if d.arb != nil {
 		f.rowf(sigLabel("arbitrary"), "%d", d.arb.refillsDiscarded)
 	}
 	f = ps.family("ctgaussd_engine_shards_poisoned", "gauge", "Shards currently poisoned per pool (producer restarting or dead; draws fail over meanwhile).")
 	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.shardsPoisoned)
+		f.rowf(sigLabel(s.sigma), "%d", s.ShardsPoisoned)
 	}
 	if d.arb != nil {
 		f.rowf(sigLabel("arbitrary"), "%d", d.arb.shardsPoisoned)

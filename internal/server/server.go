@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -49,8 +48,6 @@ type Config struct {
 	// base-draw streams.  Served streams are bit-identical at any
 	// setting.
 	Prefetch int
-	// PrefetchBySigma overrides Prefetch per served σ (same encoding).
-	PrefetchBySigma map[string]int
 
 	// FalconKey, when set, is the signing key served by the Falcon
 	// endpoints.  Otherwise a key is generated deterministically from
@@ -80,8 +77,8 @@ type Config struct {
 	// whole admissible σ range from one compiled base set.
 	DisableArbitrary bool
 	// ArbitraryBases overrides the convolution base set (default
-	// {"2", "6.15543"}); the whole set is built — in parallel — as one
-	// registry artifact at startup.
+	// {"2", "6.15543"}); its members are built in parallel at startup,
+	// one registry entry each.
 	ArbitraryBases []string
 	// ArbitraryShards is the arbitrary sampler's shard count (0 =
 	// NumCPU).
@@ -227,27 +224,15 @@ func New(cfg Config) (*Server, error) {
 		queues: make(map[string]chan struct{}),
 		start:  time.Now(),
 	}
-	// Catch per-σ prefetch overrides that name no served σ (a typo'd or
-	// differently spelled value would otherwise leave that pool silently
-	// running in the wrong refill mode).
-	for sigma := range cfg.PrefetchBySigma {
-		if !slices.Contains(cfg.Sigmas, sigma) {
-			return nil, fmt.Errorf("server: PrefetchBySigma names σ %q, which is not served (sigmas: %v)", sigma, cfg.Sigmas)
-		}
-	}
 	for _, sigma := range cfg.Sigmas {
 		if _, dup := s.pools[sigma]; dup {
 			return nil, fmt.Errorf("server: sigma %q listed twice", sigma)
-		}
-		prefetch := cfg.Prefetch
-		if p, ok := cfg.PrefetchBySigma[sigma]; ok {
-			prefetch = p
 		}
 		pool, err := ctgauss.NewPoolWithConfig(ctgauss.Config{
 			Sigma:    sigma,
 			Seed:     PoolSeed(cfg.Seed, sigma),
 			PRNG:     cfg.PRNG,
-			Prefetch: prefetch,
+			Prefetch: cfg.Prefetch,
 		}, cfg.PoolShards)
 		if err != nil {
 			return nil, fmt.Errorf("server: building σ=%s pool: %w", sigma, err)

@@ -1085,7 +1085,6 @@ func TestPrefetchMetricsAndLoadReconcile(t *testing.T) {
 		c.FalconKey = nil
 		c.FalconN = 0
 		c.Prefetch = -1
-		c.PrefetchBySigma = map[string]int{"2": -1}
 	})
 	drawSamples(t, tsSync.URL, 64)
 	if v := scrapeMetric(t, tsSync.URL, `ctgaussd_prefetch_depth{sigma="2"}`); v != 0 {
@@ -1097,17 +1096,5 @@ func TestPrefetchMetricsAndLoadReconcile(t *testing.T) {
 	hr := getHealth(t, tsSync.URL)
 	if hr.Prefetch != 0 {
 		t.Fatalf("healthz prefetch = %d, want 0 for sync", hr.Prefetch)
-	}
-
-	// A per-σ override naming an unserved σ (a typo, or a different
-	// decimal spelling) is a construction error, not a silent no-op.
-	_, err = New(Config{
-		Sigmas:           []string{"2"},
-		PoolShards:       1,
-		DisableArbitrary: true,
-		PrefetchBySigma:  map[string]int{"2.0": -1},
-	})
-	if err == nil {
-		t.Fatal("PrefetchBySigma naming an unserved σ was accepted")
 	}
 }

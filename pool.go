@@ -340,10 +340,6 @@ func BuildInFlight(cfg Config) bool {
 	return inFlight
 }
 
-// FromCache reports whether the pool's circuit was loaded from the
-// registry's on-disk cache rather than built in this process.
-func (p *Pool) FromCache() bool { return p.art.FromDisk }
-
 // bitsPerRefill is the randomness cost of one shard refill: width
 // batches of (NumInputs+1)×64 bits each.
 func (p *Pool) bitsPerRefill() uint64 {
