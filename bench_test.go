@@ -116,7 +116,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 		})
 		b.Run("sigma"+sigma+"/thiswork", func(b *testing.B) {
 			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
-			s := bb.NewSampler(prng.MustChaCha20([]byte("t2")))
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("t2")), sampler.NativeWidth())
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -125,7 +125,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 			b.ReportMetric(float64(bb.Program.OpCount()), "wordops/batch")
 		})
 		// The same circuit at explicit widths (1 = the paper's per-batch
-		// stream layout; the default above is sampler.DefaultWidth).
+		// stream layout; the default above is sampler.NativeWidth()).
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("sigma%s/thiswork-w%d", sigma, w), func(b *testing.B) {
 				bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
@@ -164,7 +164,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 				built[key] = bs
 			}
 			builtMu.Unlock()
-			s := sampler.NewBitsliced("simple", bs.Program, prng.MustChaCha20([]byte("t2")))
+			s := bs.NewWideSampler(prng.MustChaCha20([]byte("t2")), sampler.NativeWidth())
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -182,7 +182,7 @@ func BenchmarkFig5Histogram(b *testing.B) {
 	for _, sigma := range []string{"2", "6.15543"} {
 		b.Run("sigma"+sigma, func(b *testing.B) {
 			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
-			s := bb.NewSampler(prng.MustChaCha20([]byte("fig5")))
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("fig5")), sampler.NativeWidth())
 			hist := make(map[int]int)
 			dst := make([]int, 64)
 			b.ResetTimer()
@@ -209,7 +209,7 @@ func BenchmarkPRNGOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := bb.NewSampler(src)
+			s := bb.NewWideSampler(src, sampler.NativeWidth())
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -236,7 +236,7 @@ func BenchmarkAblationMinimizer(b *testing.B) {
 	for _, min := range []core.Minimizer{core.MinimizeExact, core.MinimizeGreedy, core.MinimizeNone} {
 		b.Run(min.String(), func(b *testing.B) {
 			bb := benchBuilt(b, "2", 128, min)
-			s := bb.NewSampler(prng.MustChaCha20([]byte("abl")))
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("abl")), sampler.NativeWidth())
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -265,7 +265,7 @@ func BenchmarkAblationBaselineCSE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := sampler.NewBitsliced(name, bs.Program, prng.MustChaCha20([]byte("cse")))
+			s := bs.NewWideSampler(prng.MustChaCha20([]byte("cse")), sampler.NativeWidth())
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -281,7 +281,9 @@ func BenchmarkAblationBaselineCSE(b *testing.B) {
 func BenchmarkSamplerComparison(b *testing.B) {
 	bb := benchBuilt(b, "2", 128, core.MinimizeExact)
 	mk := map[string]func() sampler.Sampler{
-		"bitsliced": func() sampler.Sampler { return bb.NewSampler(prng.MustChaCha20([]byte("c"))) },
+		"bitsliced": func() sampler.Sampler {
+			return bb.NewWideSampler(prng.MustChaCha20([]byte("c")), sampler.NativeWidth())
+		},
 		"bitsliced-compiled": func() sampler.Sampler {
 			return sampler.NewCompiled("c", gen.Sigma2Batch, gen.Sigma2BatchInputs, gen.Sigma2BatchValueBits, prng.MustChaCha20([]byte("c")))
 		},

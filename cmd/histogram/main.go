@@ -17,6 +17,7 @@ import (
 
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
+	"ctgauss/internal/sampler"
 )
 
 func main() {
@@ -30,7 +31,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	s := b.NewSampler(prng.MustChaCha20([]byte("histogram")))
+	// A fixed width, so the figure draws the same stream on every host.
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("histogram")), sampler.DefaultWidth)
 
 	counts := make(map[int]int)
 	dst := make([]int, 64)

@@ -27,4 +27,13 @@
 // in their seeds, which makes tests and benchmarks reproducible.  In
 // production the signing seeds must come from fresh randomness —
 // predictable salts or Gaussian streams break the scheme.
+//
+// Keys and signatures do not depend on the host: Keygen samples f and g
+// at a fixed evaluation width (16) whatever the SIMD backend, so
+// portable hosts (CTGAUSS_SIMD=off, arm64) derive the same key from a
+// seed as AVX2/AVX-512 hosts.  Keys that portable hosts generated with
+// earlier versions of this package, which sampled at the native width,
+// differ.  The one exception is BaseConvolve, whose signatures follow
+// the convolution layer's base stream, drawn at the host's native width
+// (8 portable, 16 AVX2/AVX-512), as ctgauss.Arbitrary's is.
 package falcon

@@ -69,7 +69,7 @@ func TestCrossSamplerDistributionAgreement(t *testing.T) {
 	}
 	const samples = 1 << 17
 	families := map[string]sampler.Sampler{
-		"bitsliced": b.NewSampler(prng.MustChaCha20([]byte("x1"))),
+		"bitsliced": b.NewWideSampler(prng.MustChaCha20([]byte("x1")), sampler.NativeWidth()),
 		"cdt":       sampler.NewCDT(b.Table, prng.MustChaCha20([]byte("x2"))),
 		"bytescan":  sampler.NewByteScanCDT(b.Table, prng.MustChaCha20([]byte("x3"))),
 		"linear":    sampler.NewLinearCDT(b.Table, prng.MustChaCha20([]byte("x4"))),

@@ -93,7 +93,7 @@ func RunCT(opt CTOptions) (timing []TimingResult, work []WorkResult, err error) 
 		// dudect over the bitsliced evaluation: the two classes differ
 		// only in PRNG seed, i.e. in every secret the circuit handles.
 		mkBit := func(seed string) func() {
-			s := b.NewSampler(prng.MustChaCha20([]byte(seed)))
+			s := b.NewWideSampler(prng.MustChaCha20([]byte(seed)), sampler.NativeWidth())
 			dst := make([]int, 64)
 			return func() { s.NextBatch(dst) }
 		}

@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"ctgauss/internal/core"
-	"ctgauss/internal/engine"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/registry"
 	"ctgauss/internal/sampler"
@@ -112,14 +111,9 @@ func goldenStream(c GoldenCase, depth int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("acceptance: golden %s: build: %w", c.Name, err)
 	}
-	src, err := prng.NewSource(c.PRNG, deriveSeed("golden/"+c.Name))
-	if err != nil {
-		return nil, fmt.Errorf("acceptance: golden %s: %w", c.Name, err)
-	}
-	var bs sampler.BatchSampler
+	newSampler := func(src prng.Source) sampler.BatchSampler { return art.NewWideSampler(src, c.Width) }
 	switch c.Kind {
 	case "interp":
-		bs = art.NewWideSampler(src, c.Width)
 	case "compiled":
 		fn, nin, nval, ok := gen.Lookup(c.Sigma)
 		if !ok {
@@ -129,16 +123,22 @@ func goldenStream(c GoldenCase, depth int) ([]int, error) {
 			return nil, fmt.Errorf("acceptance: golden %s: generated circuit shape (%d in, %d bits) diverges from build (%d in, %d bits) — rerun go generate",
 				c.Name, nin, nval, art.Program.NumInputs, art.Program.ValueBits)
 		}
-		bs = sampler.NewCompiled("golden-compiled("+c.Sigma+")", fn, nin, nval, src)
+		newSampler = func(src prng.Source) sampler.BatchSampler {
+			return sampler.NewCompiled("golden-compiled("+c.Sigma+")", fn, nin, nval, src)
+		}
 	default:
 		return nil, fmt.Errorf("acceptance: golden %s: unknown kind %q", c.Name, c.Kind)
 	}
-	eng := engine.New(engine.Config{Shards: 1, SlotSize: c.Width * 64, Depth: depth},
-		func(_ int, dst []int) {
-			for off := 0; off < len(dst); off += 64 {
-				bs.NextBatch(dst[off : off+64])
-			}
-		})
+	eng, err := sampler.NewEngine(1, c.Width, depth, func(int) (sampler.BatchSampler, error) {
+		src, err := prng.NewSource(c.PRNG, deriveSeed("golden/"+c.Name))
+		if err != nil {
+			return nil, err
+		}
+		return newSampler(src), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("acceptance: golden %s: %w", c.Name, err)
+	}
 	defer eng.Close()
 	out := make([]int, c.Count)
 	if err := eng.TakeFrom(nil, 0, out); err != nil {

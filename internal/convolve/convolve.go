@@ -97,9 +97,9 @@ type Config struct {
 	// compilation (0 = all CPUs); it never changes the artifacts.
 	Workers int
 	// Prefetch is the refill lookahead per (shard, base member) stream
-	// on the engine runtime: 0 = engine.DefaultDepth, negative =
-	// synchronous refill.  Per-stream draws are bit-identical at any
-	// setting.
+	// on the engine runtime (engine.DepthFor): 0 = engine.DefaultDepth,
+	// negative = synchronous refill.  Per-stream draws are bit-identical
+	// at any setting.
 	Prefetch int
 }
 
@@ -196,58 +196,26 @@ func New(cfg Config) (*Sampler, error) {
 	}
 	// One engine per base member: shard i of every engine holds that
 	// shard's independent stream for the member, refilled a native-width
-	// evaluation (width×64 lanes) at a time ahead of demand.
-	depth := cfg.Prefetch
-	switch {
-	case depth == 0:
-		depth = engine.DefaultDepth
-	case depth < 0:
-		depth = 0
-	}
+	// evaluation (width×64 lanes) at a time ahead of demand.  The width
+	// is read once here so every member's stream, refill quantum, and
+	// bit ledger agree even if a test flips the backend mid-lifetime.
+	depth := engine.DepthFor(cfg.Prefetch)
+	baseWidth := sampler.NativeWidth()
 	s.engines = make([]*engine.Engine[int], len(members))
 	s.baseBits = make([]uint64, len(members))
-	// Base evaluation width follows the active SIMD backend; captured once
-	// here so every member's stream, refill quantum, and bit ledger agree
-	// even if a test flips the backend mid-lifetime.
-	baseWidth := sampler.NativeWidth()
 	for bi, art := range members {
-		art := art
-		bi := bi
-		mkWide := func(i int) (sampler.BatchSampler, error) {
+		s.baseBits[bi] = uint64(art.Program.NumInputs+1) * 64 * uint64(baseWidth)
+		s.engines[bi], err = sampler.NewEngine(cfg.Shards, baseWidth, depth, func(i int) (sampler.BatchSampler, error) {
 			src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i, bi))
 			if err != nil {
 				return nil, err
 			}
 			return art.NewWideSampler(src, baseWidth), nil
-		}
-		wides := make([]sampler.BatchSampler, cfg.Shards)
-		for i := range wides {
-			w, err := mkWide(i)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			wides[i] = w
-		}
-		s.baseBits[bi] = uint64(art.Program.NumInputs+1) * 64 * uint64(baseWidth)
-		s.engines[bi] = engine.New(engine.Config{
-			Shards:   cfg.Shards,
-			SlotSize: baseWidth * 64,
-			Depth:    depth,
-			// Reset rebuilds the shard's wide sampler from its
-			// domain-separated seed after a recovered refill panic, so the
-			// (shard, base) stream resumes deterministically from its start.
-			// Runs with fill's exclusivity, so the assignment is race-free.
-			Reset: func(sh int) {
-				if fresh, err := mkWide(sh); err == nil {
-					wides[sh] = fresh
-				}
-			},
-		}, func(sh int, dst []int) {
-			for off := 0; off < len(dst); off += 64 {
-				wides[sh].NextBatch(dst[off : off+64])
-			}
 		})
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }

@@ -306,16 +306,10 @@ func (b *Built) Optimized() *bitslice.Optimized {
 	return b.opt
 }
 
-// NewSampler instantiates a constant-time sampler instance over the built
-// program with its own PRNG state, at the active SIMD backend's native
-// evaluation width (the stream layout therefore depends on the host's
-// best backend; width-stable consumers use NewWideSampler).
-func (b *Built) NewSampler(src prng.Source) *sampler.Bitsliced {
-	return sampler.NewBitslicedOpt("bitsliced-split("+b.Config.Sigma+")", b.Optimized(), src)
-}
-
-// NewWideSampler instantiates a sampler at an explicit evaluation width
-// (1 = the paper's per-batch form, 8/16 = the SIMD kernel widths).
+// NewWideSampler instantiates a constant-time sampler over the built
+// program with its own PRNG state, at evaluation width w (1 = the
+// paper's per-batch form, 8/16 = the SIMD kernel widths; the stream
+// layout depends on w, see sampler.NativeWidth).
 func (b *Built) NewWideSampler(src prng.Source, w int) *sampler.Bitsliced {
 	return sampler.NewBitslicedWidth(fmt.Sprintf("bitsliced-wide%d(%s)", w, b.Config.Sigma), b.Optimized(), src, w)
 }
@@ -402,7 +396,7 @@ func buildSimple(cfg Config, cse bool) (*BuiltSimple, error) {
 	}, nil
 }
 
-// NewSampler instantiates the baseline sampler.
-func (b *BuiltSimple) NewSampler(src prng.Source) *sampler.Bitsliced {
-	return sampler.NewBitslicedOpt("bitsliced-simple("+b.Config.Sigma+")", b.Optimized(), src)
+// NewWideSampler instantiates the baseline sampler at evaluation width w.
+func (b *BuiltSimple) NewWideSampler(src prng.Source, w int) *sampler.Bitsliced {
+	return sampler.NewBitslicedWidth(fmt.Sprintf("bitsliced-simple%d(%s)", w, b.Config.Sigma), b.Optimized(), src, w)
 }

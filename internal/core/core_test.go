@@ -8,6 +8,7 @@ import (
 	"ctgauss/internal/bitslice"
 	"ctgauss/internal/ddg"
 	"ctgauss/internal/prng"
+	"ctgauss/internal/sampler"
 )
 
 func build(t *testing.T, sigma string, n int, min Minimizer) *Built {
@@ -108,7 +109,7 @@ func TestExactNeverWorseThanGreedyOrNone(t *testing.T) {
 
 func TestSamplerDistributionSigma2(t *testing.T) {
 	b := build(t, "2", 48, MinimizeExact)
-	s := b.NewSampler(prng.MustChaCha20([]byte("dist-test")))
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("dist-test")), sampler.NativeWidth())
 	const samples = 1 << 18
 	counts := make(map[int]int)
 	for i := 0; i < samples; i++ {
@@ -143,7 +144,7 @@ func TestSimpleBaselineDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := bs.NewSampler(prng.MustChaCha20([]byte("simple")))
+	s := bs.NewWideSampler(prng.MustChaCha20([]byte("simple")), sampler.NativeWidth())
 	const samples = 1 << 16
 	counts := make(map[int]int)
 	for i := 0; i < samples; i++ {
@@ -177,8 +178,8 @@ func TestSplitBeatsSimpleOnOpCount(t *testing.T) {
 
 func TestBatchAndNextAgree(t *testing.T) {
 	b := build(t, "2", 32, MinimizeExact)
-	s1 := b.NewSampler(prng.MustChaCha20([]byte("same")))
-	s2 := b.NewSampler(prng.MustChaCha20([]byte("same")))
+	s1 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), sampler.NativeWidth())
+	s2 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), sampler.NativeWidth())
 	batch := make([]int, 64)
 	s2.NextBatch(batch)
 	for i := 0; i < 64; i++ {
@@ -190,7 +191,7 @@ func TestBatchAndNextAgree(t *testing.T) {
 
 func TestBitsPerBatchMatchesCircuitWidth(t *testing.T) {
 	b := build(t, "2", 32, MinimizeExact)
-	s := b.NewSampler(prng.MustChaCha20([]byte("bits")))
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("bits")), sampler.NativeWidth())
 	s.Next()
 	// One refill evaluates Width (the backend's native width) batches,
 	// each costing NumInputs input words plus one sign word.
@@ -231,7 +232,7 @@ func TestFullPrecisionBuildSigma2(t *testing.T) {
 	if b.Tree.Delta != 5 {
 		t.Fatalf("Δ = %d, want 5 (paper reports 4; see EXPERIMENTS.md)", b.Tree.Delta)
 	}
-	s := b.NewSampler(prng.MustChaCha20([]byte("full")))
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("full")), sampler.NativeWidth())
 	var sq float64
 	const samples = 1 << 16
 	for i := 0; i < samples; i++ {

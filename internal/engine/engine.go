@@ -82,6 +82,20 @@ import (
 // consumers drain another).
 const DefaultDepth = 2
 
+// DepthFor maps a layer's prefetch setting to a ring depth: 0 →
+// DefaultDepth, negative → 0 (synchronous), positive → itself.  Pools
+// and the convolution layer expose this convention as Config.Prefetch.
+func DepthFor(prefetch int) int {
+	switch {
+	case prefetch == 0:
+		return DefaultDepth
+	case prefetch < 0:
+		return 0
+	default:
+		return prefetch
+	}
+}
+
 // decayStreak is the number of consecutive waitless takes after which
 // the adaptive prefetch target steps down by one (never below 1): a
 // consumer that always finds data ready is not draining fast enough to

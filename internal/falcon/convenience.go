@@ -3,53 +3,36 @@ package falcon
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"ctgauss/internal/convolve"
 	"ctgauss/internal/core"
+	"ctgauss/internal/gaussian"
 	"ctgauss/internal/prng"
+	"ctgauss/internal/registry"
 	"ctgauss/internal/sampler"
 	"ctgauss/internal/sampler/gen"
 )
 
-// builtCache memoises sampler pipelines per σ string (building the σ_fg
-// and σ=2 circuits is deterministic and reusable across keys).  The
-// mutex makes concurrent Keygen/NewSigner/NewSignerPool construction
-// safe; duplicate builds racing past the first lookup are acceptable
-// (deterministic result, rare in practice).
-var (
-	builtMu    sync.Mutex
-	builtCache = map[string]*core.Built{}
-)
-
-func builtFor(sigma string, n int) (*core.Built, error) {
-	key := fmt.Sprintf("%s/%d", sigma, n)
-	builtMu.Lock()
-	b, ok := builtCache[key]
-	builtMu.Unlock()
-	if ok {
-		return b, nil
-	}
-	b, err := core.Build(core.Config{Sigma: sigma, N: n, TailCut: 13, Min: core.MinimizeExact})
-	if err != nil {
-		return nil, err
-	}
-	builtMu.Lock()
-	builtCache[key] = b
-	builtMu.Unlock()
-	return b, nil
-}
+// keygenWidth is the evaluation width Keygen samples f and g at.  A
+// fixed width makes a key a function of its seed alone, whatever the
+// host's SIMD backend; 16 is the native width of AVX2 and AVX-512 hosts.
+const keygenWidth = 16
 
 // Keygen generates a key pair for ring degree n, deterministically from
 // seed, using the repo's own bitsliced constant-time sampler for the f, g
-// coefficients.
+// coefficients.  The σ_fg circuit comes from the process-wide registry
+// (and its disk cache, when one is configured).
 func Keygen(n int, seed []byte) (*PrivateKey, error) {
 	params, err := ParamsFor(n)
 	if err != nil {
 		return nil, err
 	}
-	sigmaFG := fmt.Sprintf("%.5f", params.SigmaFG)
-	built, err := builtFor(sigmaFG, 64)
+	art, err := registry.Shared().Get(core.Config{
+		Sigma:   fmt.Sprintf("%.5f", params.SigmaFG),
+		N:       64,
+		TailCut: 13,
+		Min:     core.MinimizeExact,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +40,7 @@ func Keygen(n int, seed []byte) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return GenerateKey(params, built.NewSampler(src))
+	return GenerateKey(params, art.NewWideSampler(src, keygenWidth))
 }
 
 // BaseSamplerKind selects the Table-1 base sampler variant, or the
@@ -97,26 +80,32 @@ func (k BaseSamplerKind) String() string {
 // NewBaseSampler instantiates one of the Table-1 base samplers at the
 // paper's configuration (σ=2, n=128, τ=13) over a ChaCha20 stream.
 func NewBaseSampler(kind BaseSamplerKind, seed []byte) (sampler.Sampler, error) {
-	built, err := builtFor("2", 128)
-	if err != nil {
-		return nil, err
-	}
 	src, err := prng.NewChaCha20(seed)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case BaseBitsliced:
+	if kind == BaseBitsliced {
 		// Production form: the generated, compiled circuit (the paper's
 		// tool output), not the instruction interpreter.
 		return sampler.NewCompiled("bitsliced-compiled(2)",
 			gen.Sigma2Batch, gen.Sigma2BatchInputs, gen.Sigma2BatchValueBits, src), nil
+	}
+	// The CDT baselines read the probability table, not a circuit.
+	params, err := gaussian.NewParams("2", 128, 13)
+	if err != nil {
+		return nil, err
+	}
+	table, err := gaussian.NewTable(params)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case BaseCDT:
-		return sampler.NewCDT(built.Table, src), nil
+		return sampler.NewCDT(table, src), nil
 	case BaseByteScanCDT:
-		return sampler.NewByteScanCDT(built.Table, src), nil
+		return sampler.NewByteScanCDT(table, src), nil
 	case BaseLinearCDT:
-		return sampler.NewLinearCDT(built.Table, src), nil
+		return sampler.NewLinearCDT(table, src), nil
 	default:
 		return nil, fmt.Errorf("falcon: unknown base sampler %d", kind)
 	}
@@ -144,13 +133,15 @@ func NewSignerWithKind(sk *PrivateKey, kind BaseSamplerKind, seed []byte) (*Sign
 		// circuit alone is the whole base set (every plan is the
 		// single-draw leaf); one shard, because a Signer is
 		// single-threaded and SignerPool builds one sampler per shard.
+		// Refills run synchronously, so the signer owns no goroutine.
 		// Signing stays on ChaCha20, the Falcon reference PRNG, rather
 		// than the serving default.
 		conv, err := convolve.New(convolve.Config{
-			Bases:  []string{"2"},
-			Shards: 1,
-			Seed:   seed,
-			PRNG:   "chacha20",
+			Bases:    []string{"2"},
+			Shards:   1,
+			Seed:     seed,
+			PRNG:     "chacha20",
+			Prefetch: -1,
 		})
 		if err != nil {
 			return nil, err

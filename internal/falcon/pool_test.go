@@ -2,8 +2,10 @@ package falcon
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSignerPoolConcurrentSignVerify(t *testing.T) {
@@ -123,5 +125,34 @@ func TestSignerPoolClose(t *testing.T) {
 	}
 	if pool.Attempts() == 0 {
 		t.Fatal("Attempts ledger unreadable after Close")
+	}
+}
+
+// TestSignerPoolConvolveOwnsNoGoroutines: signers own no background
+// goroutines, BaseConvolve ones included (their convolution layer
+// refills synchronously), so a closed pool leaves the goroutine count
+// where it found it.
+func TestSignerPoolConvolveOwnsNoGoroutines(t *testing.T) {
+	sk := testKey(t, 256)
+	before := runtime.NumGoroutine()
+	pool, err := NewSignerPool(sk, BaseConvolve, []byte("convolve-goroutines"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("no background refills")
+	sig, err := pool.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Verify(msg, sig); err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after Close, started with %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -83,17 +83,10 @@ func (a *Artifact) Optimized() *bitslice.Optimized {
 	return a.opt
 }
 
-// NewSampler instantiates an independent constant-time sampler over the
-// cached circuit at the active SIMD backend's native width.  Instances
-// needing a width-stable stream use NewWideSampler.  Instances share the
-// immutable optimized program but own their PRNG state, so each is as
-// cheap as a few slice allocations.
-func (a *Artifact) NewSampler(src prng.Source) *sampler.Bitsliced {
-	return sampler.NewBitslicedOpt("bitsliced-split("+a.Key.Sigma+")", a.Optimized(), src)
-}
-
-// NewWideSampler instantiates a width-w sampler (w×64 lanes per circuit
-// evaluation) over the cached optimized circuit.
+// NewWideSampler instantiates an independent width-w constant-time
+// sampler (w×64 lanes per circuit evaluation) over the cached optimized
+// circuit.  Instances share the immutable optimized program but own
+// their PRNG state, so each is as cheap as a few slice allocations.
 func (a *Artifact) NewWideSampler(src prng.Source, w int) *sampler.Bitsliced {
 	return sampler.NewBitslicedWidth(fmt.Sprintf("bitsliced-wide%d(%s)", w, a.Key.Sigma), a.Optimized(), src, w)
 }

@@ -5,11 +5,14 @@ import (
 	"testing"
 
 	"ctgauss/internal/core"
+	"ctgauss/internal/prng"
+	"ctgauss/internal/sampler"
 )
 
 // TestGeneratedMatchesInterpreted is the determinism/correctness check for
 // the checked-in circuits: rebuilding the pipeline and interpreting its
-// program must agree with the compiled source on random inputs.
+// program must agree with the compiled source on random inputs, and a
+// width-1 sampler over either form must draw the same stream.
 func TestGeneratedMatchesInterpreted(t *testing.T) {
 	cases := []struct {
 		sigma     string
@@ -45,6 +48,16 @@ func TestGeneratedMatchesInterpreted(t *testing.T) {
 					t.Fatalf("σ=%s trial %d: generated code diverges at word %d", c.sigma, trial, i)
 				}
 			}
+		}
+		compiled := sampler.NewCompiled("gen", c.fn, c.numInputs, c.valueBits, prng.MustChaCha20([]byte("gen-stream")))
+		interp := b.NewWideSampler(prng.MustChaCha20([]byte("gen-stream")), 1)
+		for i := 0; i < 64*64; i++ {
+			if g, w := compiled.Next(), interp.Next(); g != w {
+				t.Fatalf("σ=%s sample %d: generated sampler %d, interpreted %d", c.sigma, i, g, w)
+			}
+		}
+		if compiled.BitsUsed() != interp.BitsUsed() {
+			t.Fatalf("σ=%s: generated sampler read %d bits, interpreted %d", c.sigma, compiled.BitsUsed(), interp.BitsUsed())
 		}
 	}
 }

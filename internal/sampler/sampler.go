@@ -9,6 +9,9 @@
 // All samplers return signed samples: the magnitude follows the folded
 // distribution (p₀ = D(0), p_v = 2·D(v)), and an independent sign bit maps
 // v to ±v, which reproduces D_σ exactly because ±0 coincide.
+//
+// NewEngine shards bitsliced samplers onto the refill engine
+// (internal/engine); every sharded bitsliced stream is built through it.
 package sampler
 
 import (
@@ -69,7 +72,7 @@ func unpackSigned(planes []uint64, stride int, sign uint64, dst []int) {
 // that regenerates batch and resets used.  NextBatch drains samples
 // already buffered by Next before spending a fresh circuit evaluation, so
 // nothing is discarded; the buffer holds one refill's worth of samples
-// (64 for the per-batch samplers, width×64 for the wide interpreter).
+// (64 for Reference, width×64 for Bitsliced).
 type batchBuf struct {
 	batch []int
 	used  int
@@ -115,31 +118,33 @@ func (b *batchBuf) nextBatch(dst []int, refill func()) {
 const DefaultWidth = 8
 
 // NativeWidth returns the evaluation width the active SIMD backend is
-// most efficient at (8 portable/AVX2, 16 AVX-512).  NewBitsliced and
-// NewBitslicedOpt samplers evaluate at this width; note the randomness
-// stream layout depends on the width (W-batch blocks), so fixed-stream
-// consumers must pin an explicit width via NewBitslicedWidth instead.
+// most efficient at (8 portable, 16 AVX2/AVX-512).  Throughput callers
+// pass it as their sampler width; the randomness stream layout depends
+// on the width (W-batch blocks), so fixed-stream consumers pass a
+// constant such as DefaultWidth instead.
 func NativeWidth() int { return dispatch.Active().NativeWidth() }
 
-// Bitsliced is the paper's constant-time sampler: a compiled straight-line
-// circuit evaluated on W×64 lanes of packed random bits per pass.  The
-// circuit runs in its register-allocated Optimized form (dense slot file,
-// fused dispatch, wide lanes) and batches unpack through one 64×64
-// bit-matrix transpose per 64 lanes.
+// Bitsliced is the paper's constant-time sampler: a straight-line
+// circuit evaluated on W×64 lanes of packed random bits per pass, with
+// each 64-lane block unpacked through one 64×64 bit-matrix transpose.
+// The pass is either the register-allocated interpreter
+// (Optimized.RunWideInto: dense slot file, fused dispatch, SIMD kernels
+// at widths 8 and 16) at any width, or a circuit compiled to Go by the
+// generator tool at width 1 (NewCompiled).
 //
 // Randomness is consumed in W-batch blocks: NumInputs×W input words
 // (input-major) followed by W sign words.  At width 1 this is exactly the
 // draw order of the original per-batch interpreter, so a width-1 sampler
-// is stream-compatible with the reference implementation; wider samplers
-// trade stream layout for throughput (the per-sample distribution is
-// identical at any width).
+// is stream-compatible with the reference implementation, and the
+// interpreted and generated forms of one circuit draw the same stream;
+// wider samplers trade stream layout for throughput (the per-sample
+// distribution is identical at any width).
 type Bitsliced struct {
-	opt   *bitslice.Optimized
+	pass  func(in, out []uint64) // one evaluation over W×64 lanes
 	rd    *prng.BitReader
 	name  string
 	w     int
 	in    []uint64 // NumInputs×W, input-major
-	slots []uint64 // NumSlots×W, slot-major
 	out   []uint64 // ValueBits×W, output-major
 	signs []uint64
 	batchBuf
@@ -147,19 +152,17 @@ type Bitsliced struct {
 	Batches uint64
 }
 
-// NewBitsliced wraps a compiled program and a random source, optimizing
-// the program first and evaluating at the active backend's native width.
-// When many samplers share one circuit, optimize once and use
-// NewBitslicedOpt (the registry's Artifact does this).
-func NewBitsliced(name string, prog *bitslice.Program, src prng.Source) *Bitsliced {
-	return NewBitslicedOpt(name, bitslice.Optimize(prog), src)
-}
-
-// NewBitslicedOpt wraps an already-optimized circuit and a random source
-// at the active backend's native width (NativeWidth).  Callers that need
-// a width-stable randomness stream must use NewBitslicedWidth.
-func NewBitslicedOpt(name string, opt *bitslice.Optimized, src prng.Source) *Bitsliced {
-	return NewBitslicedWidth(name, opt, src, NativeWidth())
+func newBitsliced(name string, src prng.Source, w, numInputs, valueBits int, pass func(in, out []uint64)) *Bitsliced {
+	return &Bitsliced{
+		pass:     pass,
+		rd:       prng.NewBitReader(src),
+		name:     name,
+		w:        w,
+		in:       make([]uint64, numInputs*w),
+		out:      make([]uint64, valueBits*w),
+		signs:    make([]uint64, w),
+		batchBuf: newBatchBuf(w * 64),
+	}
 }
 
 // NewBitslicedWidth wraps an optimized circuit with an explicit
@@ -169,17 +172,19 @@ func NewBitslicedWidth(name string, opt *bitslice.Optimized, src prng.Source, w 
 	if w < 1 {
 		panic(fmt.Sprintf("sampler: width %d < 1", w))
 	}
-	return &Bitsliced{
-		opt:      opt,
-		rd:       prng.NewBitReader(src),
-		name:     name,
-		w:        w,
-		in:       make([]uint64, opt.NumInputs*w),
-		slots:    opt.NewSlots(w),
-		out:      make([]uint64, len(opt.Outputs)*w),
-		signs:    make([]uint64, w),
-		batchBuf: newBatchBuf(w * 64),
-	}
+	slots := opt.NewSlots(w) // NumSlots×W, slot-major
+	return newBitsliced(name, src, w, opt.NumInputs, len(opt.Outputs),
+		func(in, out []uint64) { opt.RunWideInto(w, in, slots, out) })
+}
+
+// NewCompiled wraps a circuit compiled to Go by the generator tool
+// (cmd/gaussgen) — exactly how the paper deploys its sampler (its tool
+// emits C that is compiled into Falcon).  fn evaluates one 64-lane batch
+// from numInputs input words into valueBits output planes, so the
+// sampler runs at width 1 and draws the same stream as the interpreted
+// circuit at width 1.
+func NewCompiled(name string, fn func(in, out []uint64), numInputs, valueBits int, src prng.Source) *Bitsliced {
+	return newBitsliced(name, src, 1, numInputs, valueBits, fn)
 }
 
 // Name implements Sampler.
@@ -191,16 +196,10 @@ func (b *Bitsliced) BitsUsed() uint64 { return b.rd.BitsRead }
 // Width returns the evaluation width W.
 func (b *Bitsliced) Width() int { return b.w }
 
-// Program exposes the compiled circuit (op counts for the cost model).
-func (b *Bitsliced) Program() *bitslice.Program { return b.opt.Program() }
-
-// Optimized exposes the evaluation form actually executed.
-func (b *Bitsliced) Optimized() *bitslice.Optimized { return b.opt }
-
 func (b *Bitsliced) refill() {
 	b.rd.FillWords(b.in)
 	b.rd.FillWords(b.signs)
-	b.opt.RunWideInto(b.w, b.in, b.slots, b.out)
+	b.pass(b.in, b.out)
 	for blk := 0; blk < b.w; blk++ {
 		base := blk * 64
 		unpackSigned(b.out[blk:], b.w, b.signs[blk], b.batch[base:base+64])

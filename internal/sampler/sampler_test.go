@@ -311,8 +311,8 @@ func TestWideBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestCompiledCountsBatches pins the Batches instrumentation shared with
-// Bitsliced.
+// TestCompiledCountsBatches pins the Batches instrumentation of the
+// width-1 generated form: one batch per refill.
 func TestCompiledCountsBatches(t *testing.T) {
 	fn := func(in, out []uint64) { out[0] = in[0] }
 	s := NewCompiled("t", fn, 1, 1, prng.MustChaCha20([]byte("count")))
@@ -348,7 +348,7 @@ func TestNextBatchDrainsBuffered(t *testing.T) {
 		make func() BatchSampler
 	}{
 		{"bitsliced", func() BatchSampler {
-			return NewBitsliced("t", prog, prng.MustChaCha20([]byte("drain")))
+			return NewBitslicedWidth("t", bitslice.Optimize(prog), prng.MustChaCha20([]byte("drain")), NativeWidth())
 		}},
 		{"compiled", func() BatchSampler {
 			return NewCompiled("t", fn, 1, 1, prng.MustChaCha20([]byte("drain")))

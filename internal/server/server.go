@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ctgauss"
@@ -169,6 +171,24 @@ func PoolSeed(master []byte, sigma string) []byte {
 	return h.Sum(nil)
 }
 
+// promotedSeed derives the seed of the n-th pool a server's tier
+// controller builds, from the master seed and the pool's canonical σ
+// under its own domain label.  A promoted pool therefore never serves
+// the stream of a -sigmas pool for the same σ (PoolSeed), nor of an
+// earlier promotion of the same key: serving one sample twice would
+// hand the same noise to two consumers.
+func promotedSeed(master []byte, sigma string, n uint64) []byte {
+	h := sha256.New()
+	h.Write([]byte("ctgauss/server/promoted"))
+	h.Write([]byte(sigma))
+	h.Write([]byte{0})
+	var ctr [8]byte
+	binary.BigEndian.PutUint64(ctr[:], n)
+	h.Write(ctr[:])
+	h.Write(master)
+	return h.Sum(nil)
+}
+
 // falconPoolSeed mirrors PoolSeed for the signing pool.
 func falconPoolSeed(master []byte) []byte {
 	h := sha256.New()
@@ -255,18 +275,15 @@ func New(cfg Config) (*Server, error) {
 		// The tier controller is the free-form path's only per-σ state,
 		// so it exists whenever the layer does.  With TierPromoteRPS ≤ 0
 		// it runs no ticker and never promotes.
+		var builds atomic.Uint64 // pools the tier has built; keys promotedSeed
 		tc, err := tier.New(tier.Config{
 			PromoteRPS: cfg.TierPromoteRPS,
 			Window:     cfg.TierWindow,
 			MaxPools:   cfg.TierMaxPools,
-			// A promoted pool derives its seed exactly as a -sigmas
-			// deployment of the same σ would (PoolSeed + registry artifact),
-			// so promotion changes which machinery serves the key, never the
-			// stream a fixed deployment of that σ would serve.
 			Build: func(sigma string) (tier.Pool, error) {
 				return ctgauss.NewPoolWithConfig(ctgauss.Config{
 					Sigma:    sigma,
-					Seed:     PoolSeed(cfg.Seed, sigma),
+					Seed:     promotedSeed(cfg.Seed, sigma, builds.Add(1)-1),
 					PRNG:     cfg.PRNG,
 					Prefetch: cfg.Prefetch,
 				}, cfg.PoolShards)

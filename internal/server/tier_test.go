@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,62 @@ func TestTierTransitionUnderLoad(t *testing.T) {
 			t.Fatalf("%d goroutines alive after Close, started with %d", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPromotedPoolsNeverReplay pins promoted-pool seeding: a pool the
+// tier builds must not serve a stream the process has already served.
+// A promoted σ=2 key must not replay the -sigmas pool for σ="2", and a
+// key promoted, demoted and promoted again must not replay its first
+// pool.
+func TestPromotedPoolsNeverReplay(t *testing.T) {
+	s, ts := newTestServer(t, tierTestConfig)
+	compiledDraw := func(sigma float64, n int) []int {
+		t.Helper()
+		resp, body := postJSONT(t, ts.URL+"/v1/arbitrary", arbitraryRequest{Count: n, Sigma: sigma})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("σ=%g: status %d: %.120s", sigma, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(tierHeader); got != "compiled" {
+			t.Fatalf("σ=%g: tier header %q, want compiled", sigma, got)
+		}
+		var ar arbitraryResponse
+		if err := json.Unmarshal(body, &ar); err != nil {
+			t.Fatal(err)
+		}
+		return ar.Samples
+	}
+
+	resp, body := postJSONT(t, ts.URL+"/v1/samples", samplesRequest{Count: 64, Sigma: "2"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/samples: status %d: %.120s", resp.StatusCode, body)
+	}
+	var sr samplesResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tier().ForcePromote(2); err != nil {
+		t.Fatal(err)
+	}
+	if promoted := compiledDraw(2, 64); slices.Equal(promoted, sr.Samples) {
+		t.Fatal("promoted σ=2 pool replays the -sigmas pool's stream")
+	}
+
+	const sigma = 3.3
+	var first []int
+	for cycle := 0; cycle < 2; cycle++ {
+		if err := s.Tier().ForcePromote(sigma); err != nil {
+			t.Fatal(err)
+		}
+		got := compiledDraw(sigma, 256)
+		if cycle == 0 {
+			first = got
+		} else if slices.Equal(got, first) {
+			t.Fatal("re-promoted σ=3.3 replays its first pool's stream")
+		}
+		if err := s.Tier().ForceDemote(sigma); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

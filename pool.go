@@ -62,34 +62,16 @@ var ErrPoolDegraded = errors.New("ctgauss: all pool shards poisoned")
 // For serving pools over HTTP — batched draws with request coalescing,
 // metrics, and backpressure — see internal/server and cmd/ctgaussd.
 type Pool struct {
-	art      *registry.Artifact
-	eng      *engine.Engine[int]
-	picker   *engine.Picker
-	samplers []sampler.BatchSampler
-	width    int // batches per shard refill (1 on the compiled path)
-
-	// mkSampler rebuilds shard i's sampler from its domain-separated
-	// seed — the engine's Reset hook after a recovered refill panic.  A
-	// mid-fill panic may leave the old sampler's cursor and PRNG stream
-	// torn mid-batch; rebuilding restarts the shard's stream at its
-	// deterministic beginning, so post-recovery output is still pinned by
-	// the golden vectors.
-	mkSampler func(i int) (sampler.BatchSampler, error)
+	art    *registry.Artifact
+	eng    *engine.Engine[int]
+	picker *engine.Picker
+	width  int // batches per shard refill (1 on the compiled path)
 }
 
 // DefaultPrefetch is the refill lookahead used when Config.Prefetch is
 // 0: double buffering, so each shard's producer fills one slot while
 // consumers drain another.
 const DefaultPrefetch = engine.DefaultDepth
-
-// poolWidth is the evaluation width of interpreter-backed pool shards:
-// each circuit evaluation runs over poolWidth contiguous words (so
-// poolWidth×64 samples per pass), amortizing interpreter dispatch and the
-// bulk randomness draw across batches served from one refill.  It
-// follows the active SIMD backend's native width (8 portable, 16
-// AVX-512), so each pool's stream — and its golden pins — is a function
-// of the backend's width, never of which ISA executes it.
-func poolWidth() int { return sampler.NativeWidth() }
 
 // NewPool builds a serving pool with default configuration for the given
 // σ.  parallelism is the shard count: 0 means runtime.NumCPU().
@@ -127,12 +109,18 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 	// Only trust the generated circuit when its shape matches the freshly
 	// built program (it is regenerated by `go generate`, not per build).
 	useCompiled := fn != nil && nin == art.Program.NumInputs && nval == art.Program.ValueBits
-	interpWidth := poolWidth()
-	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: interpWidth}
+	// Interpreter-backed shards evaluate at the active SIMD backend's
+	// native width (8 portable, 16 AVX2/AVX-512), amortizing dispatch and
+	// the bulk randomness draw across the batches of one refill; each
+	// pool's stream, and its golden pins, is a function of that width,
+	// never of which ISA executes it.
+	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: sampler.NativeWidth()}
 	if useCompiled {
 		p.width = 1
 	}
-	p.mkSampler = func(i int) (sampler.BatchSampler, error) {
+	// Each shard's sampler is keyed by its domain-separated seed, which
+	// is also how the engine rebuilds it after a recovered refill panic.
+	p.eng, err = sampler.NewEngine(parallelism, p.width, engine.DepthFor(cfg.Prefetch), func(i int) (sampler.BatchSampler, error) {
 		src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i))
 		if err != nil {
 			return nil, err
@@ -140,60 +128,12 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 		if useCompiled {
 			return sampler.NewCompiled(fmt.Sprintf("pool-compiled(%s)#%d", cfg.Sigma, i), fn, nin, nval, src), nil
 		}
-		return art.NewWideSampler(src, interpWidth), nil
+		return art.NewWideSampler(src, p.width), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	p.samplers = make([]sampler.BatchSampler, parallelism)
-	for i := range p.samplers {
-		s, err := p.mkSampler(i)
-		if err != nil {
-			return nil, err
-		}
-		p.samplers[i] = s
-	}
-	p.eng = engine.New(engine.Config{
-		Shards:   parallelism,
-		SlotSize: p.width * 64,
-		Depth:    resolvePrefetch(cfg.Prefetch),
-		Reset:    p.resetShard,
-	}, p.fillShard)
 	return p, nil
-}
-
-// resolvePrefetch maps Config.Prefetch to an engine ring depth:
-// 0 → DefaultPrefetch, negative → synchronous, positive → itself.
-func resolvePrefetch(prefetch int) int {
-	switch {
-	case prefetch == 0:
-		return DefaultPrefetch
-	case prefetch < 0:
-		return 0
-	default:
-		return prefetch
-	}
-}
-
-// fillShard regenerates one refill of shard s.  Only s's producer (or,
-// synchronously, the consumer holding s's ring lock) calls it, so the
-// underlying sampler needs no extra locking; each call consumes exactly
-// one circuit evaluation's randomness.
-func (p *Pool) fillShard(s int, dst []int) {
-	for off := 0; off < len(dst); off += 64 {
-		p.samplers[s].NextBatch(dst[off : off+64])
-	}
-}
-
-// resetShard is the engine's Reset hook: after a recovered refill panic
-// it replaces shard s's sampler with a fresh one built from the same
-// domain-separated seed, so the shard resumes at a clean refill boundary
-// with a deterministic stream.  It runs with the same exclusivity as
-// fillShard (the producer goroutine, or the ring lock in synchronous
-// mode), so the plain assignment is race-free.  If the rebuild itself
-// fails — it can only fail the way construction would have — the torn
-// sampler stays and the next fill's panic spends the restart budget.
-func (p *Pool) resetShard(s int) {
-	if fresh, err := p.mkSampler(s); err == nil {
-		p.samplers[s] = fresh
-	}
 }
 
 // compiledCircuit returns the pregenerated native circuit for cfg, if the
@@ -227,8 +167,9 @@ func shardSeed(seed []byte, shard int) []byte {
 // errors propagate unchanged.
 func (p *Pool) consume(ctx context.Context, n int, fn func(chunk []int)) error {
 	start := p.picker.Pick()
-	for i := 0; i < len(p.samplers); i++ {
-		s := (start + i) % len(p.samplers)
+	shards := p.eng.Shards()
+	for i := 0; i < shards; i++ {
+		s := (start + i) % shards
 		err := p.eng.ConsumeFrom(ctx, s, n, fn)
 		if err == nil || !errors.Is(err, engine.ErrShardPoisoned) {
 			return err
@@ -317,7 +258,7 @@ type RingStat = engine.RingStat
 func (p *Pool) RingStats() []RingStat { return p.eng.Rings() }
 
 // Size returns the shard count.
-func (p *Pool) Size() int { return len(p.samplers) }
+func (p *Pool) Size() int { return p.eng.Shards() }
 
 // Sigma returns the pool's σ as its configured decimal spelling — the
 // registry key the serving tiers route and label by.
