@@ -81,6 +81,7 @@ func BenchmarkTable1SignPerSec(b *testing.B) {
 					b.Fatal(err)
 				}
 				msg := []byte("benchmark message")
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := signer.Sign(msg); err != nil {

@@ -11,10 +11,14 @@
 //	sig, _ := signer.Sign(msg)
 //	err := sk.Public().Verify(msg, sig)
 //
-// A Signer is not safe for concurrent use: signing mutates the base
-// sampler and salt PRNG streams.  For serving, NewSignerPool shards
-// independent signers over one key (domain-separated seeds, round-robin
-// dispatch — the signing analogue of ctgauss.Pool):
+// A Signer holds a fixed workspace, sized from the key's ring degree,
+// and Sign runs in it: over the four Table-1 bases a signature costs
+// three allocations, the returned Signature, its salt and its s1.  A
+// Signer is not safe for concurrent use, since signing mutates the
+// workspace and the base sampler and salt PRNG streams.  For serving,
+// NewSignerPool shards independent signers over one key
+// (domain-separated seeds, round-robin dispatch — the signing analogue
+// of ctgauss.Pool):
 //
 //	pool, _ := falcon.NewSignerPool(sk, falcon.BaseBitsliced, seed, 8)
 //	sig, _ := pool.Sign(msg)          // safe from any goroutine

@@ -230,7 +230,7 @@ func TestFullPrecisionBuildSigma2(t *testing.T) {
 	// The paper's actual Falcon configuration: σ=2, n=128, τ=13.
 	b := build(t, "2", 128, MinimizeExact)
 	if b.Tree.Delta != 5 {
-		t.Fatalf("Δ = %d, want 5 (paper reports 4; see EXPERIMENTS.md)", b.Tree.Delta)
+		t.Fatalf("Δ = %d, want 5 (paper reports 4; see docs/ARCHITECTURE.md, Δ against the paper)", b.Tree.Delta)
 	}
 	s := b.NewWideSampler(prng.MustChaCha20([]byte("full")), sampler.NativeWidth())
 	var sq float64

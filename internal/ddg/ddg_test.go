@@ -52,10 +52,9 @@ func TestDeltaValuesMatchPaper(t *testing.T) {
 	// §5 of the paper reports Δ = 4, 4, 6, 15 for σ = 1, 2, 6.15543, 215.
 	// With our (truncation, finite-support normalisation) convention the
 	// measured values are 3, 5, 6 — within ±1 of the paper, exact for
-	// σ=6.15543; the paper does not pin down its rounding convention, and
-	// Δ is insensitive to it beyond ±1 (verified over four convention
-	// variants in EXPERIMENTS.md).  The paper's actual claim — j is bounded
-	// by a small Δ — is asserted strictly.
+	// σ=6.15543; the paper does not pin down its rounding convention (see
+	// docs/ARCHITECTURE.md, Δ against the paper).  The paper's actual
+	// claim — j is bounded by a small Δ — is asserted strictly.
 	cases := []struct {
 		sigma    string
 		measured int
@@ -84,7 +83,7 @@ func TestDeltaSigma215(t *testing.T) {
 	// Paper: Δ=15. Our convention measures 11 — same magnitude, and well
 	// inside the "small Δ" regime the minimization strategy needs; the
 	// deviation tracks the unspecified probability-rounding convention
-	// (see EXPERIMENTS.md §Δ).
+	// (see docs/ARCHITECTURE.md, Δ against the paper).
 	if tr.Delta != 11 {
 		t.Errorf("σ=215: Δ=%d, want measured 11 (paper: 15)", tr.Delta)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ctgauss/internal/prng"
@@ -97,6 +98,56 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 		if err := pk.Verify(msg, sig); err != nil {
 			t.Fatalf("valid signature rejected: %v", err)
 		}
+	}
+}
+
+// TestSignAllocs pins allocation-free signing: Sign runs in the Signer's
+// workspace, so the returned Signature, its Salt and its S1 are the only
+// allocations, whichever rejection-sampler base is underneath.
+func TestSignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sk := testKey(t, 256)
+	msg := []byte("allocation budget")
+	for _, kind := range []BaseSamplerKind{BaseBitsliced, BaseCDT, BaseByteScanCDT, BaseLinearCDT} {
+		signer, err := NewSignerWithKind(sk, kind, []byte("allocs"))
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		allocs := testing.AllocsPerRun(16, func() {
+			if _, err := signer.Sign(msg); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%v: %v allocations per Sign, want at most 3", kind, allocs)
+		}
+	}
+}
+
+// TestSignatureOwnsItsBuffers: a signature must not share memory with
+// the Signer's workspace, or the next Sign would rewrite it.
+func TestSignatureOwnsItsBuffers(t *testing.T) {
+	sk := testKey(t, 256)
+	signer, err := NewSignerWithKind(sk, BaseBitsliced, []byte("owns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := []byte("first message"), []byte("second message")
+	sig, err := signer.Sign(m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	salt, s1 := bytes.Clone(sig.Salt), slices.Clone(sig.S1)
+	if _, err := signer.Sign(m2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sig.Salt, salt) || !slices.Equal(sig.S1, s1) {
+		t.Fatal("signing m2 changed the signature of m1")
+	}
+	if err := sk.Public().Verify(m1, sig); err != nil {
+		t.Fatalf("signature of m1 no longer verifies: %v", err)
 	}
 }
 
@@ -343,9 +394,16 @@ func TestCompressCoeffsRoundTripEdgeValues(t *testing.T) {
 	}
 }
 
+// hashPoint is hashToPoint into a fresh n-entry vector.
+func hashPoint(salt, msg []byte, n int) []uint32 {
+	c := make([]uint32, n)
+	hashToPoint(c, salt, msg)
+	return c
+}
+
 func TestHashToPointRangeAndDeterminism(t *testing.T) {
-	c1 := hashToPoint([]byte("salt"), []byte("msg"), 512)
-	c2 := hashToPoint([]byte("salt"), []byte("msg"), 512)
+	c1 := hashPoint([]byte("salt"), []byte("msg"), 512)
+	c2 := hashPoint([]byte("salt"), []byte("msg"), 512)
 	for i := range c1 {
 		if c1[i] >= Q {
 			t.Fatalf("coefficient %d out of range", i)
@@ -354,7 +412,7 @@ func TestHashToPointRangeAndDeterminism(t *testing.T) {
 			t.Fatal("hashToPoint not deterministic")
 		}
 	}
-	c3 := hashToPoint([]byte("salt2"), []byte("msg"), 512)
+	c3 := hashPoint([]byte("salt2"), []byte("msg"), 512)
 	same := 0
 	for i := range c1 {
 		if c1[i] == c3[i] {
@@ -379,7 +437,7 @@ func TestHashToPointPinned(t *testing.T) {
 	}
 	for n, digest := range want {
 		h := sha256.New()
-		for _, c := range hashToPoint([]byte("salt"), []byte("message"), n) {
+		for _, c := range hashPoint([]byte("salt"), []byte("message"), n) {
 			h.Write([]byte{byte(c >> 8), byte(c)})
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != digest {

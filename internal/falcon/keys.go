@@ -21,9 +21,10 @@ type PrivateKey struct {
 	BigG   []int16 // G
 	H      []uint16
 
-	tree  *treeNode
-	bFFT  [2][2][]complex128 // B = [[g, −f], [G, −F]] in FFT domain
-	hNTT  []uint32
+	tree *treeNode
+	// The FFT forms of g, G, f, F and −F, the vectors Sign multiplies by.
+	gFFT, bigGFFT, fFFT, bigFFFT, negBigFFFT []complex128
+
 	ready bool
 }
 
@@ -127,15 +128,20 @@ func keyNormsOK(params Params, f, g []int16) bool {
 
 // precompute builds the FFT basis and the LDL* (Falcon) tree.
 func (sk *PrivateKey) precompute() error {
-	n := sk.Params.N
 	fF := fft.FFT(int16ToFloat(sk.F))
 	gF := fft.FFT(int16ToFloat(sk.G))
 	FF := fft.FFT(int16ToFloat(sk.BigF))
 	GF := fft.FFT(int16ToFloat(sk.BigG))
 
+	// B = [[g, −f], [G, −F]].  Sign's f, F and −F come from B's entries
+	// through these exact Scale calls: scaling by ±1 can flip the sign of
+	// a zero, so other derivations could move a signature's low bits.
 	negF := fft.Scale(fF, -1)
 	negBF := fft.Scale(FF, -1)
-	sk.bFFT = [2][2][]complex128{{gF, negF}, {GF, negBF}}
+	sk.gFFT, sk.bigGFFT = gF, GF
+	sk.fFFT = fft.Scale(negF, -1)
+	sk.bigFFFT = fft.Scale(negBF, -1)
+	sk.negBigFFFT = fft.Scale(negBF, 1)
 
 	// Gram of B.
 	g00 := fft.Add(fft.Mul(gF, fft.Adj(gF)), fft.Mul(fF, fft.Adj(fF)))
@@ -147,12 +153,6 @@ func (sk *PrivateKey) precompute() error {
 		return err
 	}
 	sk.tree = tree
-
-	sk.hNTT = make([]uint32, n)
-	for i, v := range sk.H {
-		sk.hNTT[i] = uint32(v)
-	}
-	ntt.Forward(sk.hNTT)
 	sk.ready = true
 	return nil
 }

@@ -106,8 +106,8 @@ func (p *SignerPool) Size() int { return p.shards.Size() }
 // working.  Closing twice is harmless.
 func (p *SignerPool) Close() { p.shards.Close() }
 
-// Attempts reports norm-rejection restarts summed across shards
-// (diagnostics, mirroring Signer.Attempts).
+// Attempts reports signing attempts summed across shards, the first of
+// each signature included (diagnostics, mirroring Signer.Attempts).
 func (p *SignerPool) Attempts() uint64 {
 	var total uint64
 	p.shards.Each(func(s *Signer) { total += s.Attempts })

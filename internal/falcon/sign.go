@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ctgauss/internal/fft"
 	"ctgauss/internal/prng"
@@ -19,13 +20,48 @@ type Signature struct {
 
 // Signer holds per-instance signing state: the key, the SamplerZ
 // backend (a rejection sampler over a fixed base, or the convolution
-// layer), and a PRNG for salts.
+// layer), a PRNG for salts, and the fixed workspace, sized from the
+// key's ring degree, that every Sign call runs in; so a Signer is not
+// safe for concurrent use (SignerPool is).
 type Signer struct {
 	sk   *PrivateKey
 	zs   zSampler
 	salt *prng.BitReader
-	// Attempts counts norm-rejection restarts (diagnostics).
+	ws   workspace
+	// Attempts counts signing attempts, the first of each signature
+	// included, so Attempts per signature is at least 1 (diagnostics).
 	Attempts uint64
+}
+
+// workspace is the memory Sign runs in, allocated once per Signer.
+// Buffers whose lifetimes do not overlap share storage: r holds c as
+// reals, then each half of s before rounding; t0 and t1 hold the
+// ffSampling target, then s0 and s1 in FFT form.
+type workspace struct {
+	salt   []byte
+	c      []uint32
+	r      []float64
+	cFFT   []complex128
+	t0, t1 []complex128
+	z0, z1 []complex128
+	s0, s1 []int16
+	levels []ffLevel
+}
+
+func newWorkspace(n int) workspace {
+	return workspace{
+		salt:   make([]byte, SaltLen),
+		c:      make([]uint32, n),
+		r:      make([]float64, n),
+		cFFT:   make([]complex128, n),
+		t0:     make([]complex128, n),
+		t1:     make([]complex128, n),
+		z0:     make([]complex128, n),
+		z1:     make([]complex128, n),
+		s0:     make([]int16, n),
+		s1:     make([]int16, n),
+		levels: newFFLevels(n),
+	}
 }
 
 // NewSigner builds a signer.  base is the discrete Gaussian base sampler
@@ -43,7 +79,7 @@ func newSignerWithZ(sk *PrivateKey, zs zSampler, salt *prng.BitReader) (*Signer,
 			return nil, err
 		}
 	}
-	return &Signer{sk: sk, zs: zs, salt: salt}, nil
+	return &Signer{sk: sk, zs: zs, salt: salt, ws: newWorkspace(sk.Params.N)}, nil
 }
 
 // BaseSampler exposes the base sampler (for bit-count statistics) of a
@@ -60,66 +96,72 @@ func (s *Signer) BaseSampler() sampler.Sampler {
 // the attempt budget.
 var ErrSignFailed = errors.New("falcon: signing failed to find a short vector")
 
-// Sign produces a signature for msg.
+// Sign produces a signature for msg.  It works in the Signer's workspace
+// and allocates only the returned signature.
+//
+// Signatures are pinned byte for byte (TestKnownAnswers), so each
+// floating-point expression keeps its operations and their order:
+// s0 = c − (z0⊛g + z1⊛G) sums the two products before subtracting, for
+// instance.  The complex128 conversions round each product before it is
+// added, so no platform fuses the two into one multiply-add.
 func (s *Signer) Sign(msg []byte) (*Signature, error) {
-	n := s.sk.Params.N
-	qInv := 1.0 / float64(Q)
+	sk, w := s.sk, &s.ws
+	qInv := complex(1.0/float64(Q), 0)
 	for attempt := 0; attempt < 64; attempt++ {
 		s.Attempts++
-		salt := make([]byte, SaltLen)
-		s.salt.Bytes(salt)
-		c := hashToPoint(salt, msg, n)
-
-		cf := make([]float64, n)
-		for i, v := range c {
-			cf[i] = float64(v)
+		s.salt.Bytes(w.salt)
+		hashToPoint(w.c, w.salt, msg)
+		for i, v := range w.c {
+			w.r[i] = float64(v)
 		}
-		cFFT := fft.FFT(cf)
+		fft.FFTTo(w.cFFT, w.r)
 
-		// t = (c, 0)·B⁻¹ = (c⊛(−F)/q, c⊛f/q); bFFT = [[g,−f],[G,−F]].
-		negFBig := fft.Scale(s.sk.bFFT[1][1], 1) // already −F
-		fF := fft.Scale(s.sk.bFFT[0][1], -1)     // −(−f) = f
-		t0 := fft.Scale(fft.Mul(cFFT, negFBig), qInv)
-		t1 := fft.Scale(fft.Mul(cFFT, fF), qInv)
-
-		z0, z1 := ffSampling(t0, t1, s.sk.tree, s.zs)
+		// t = (c, 0)·B⁻¹ = (c⊛(−F)/q, c⊛f/q).
+		for i, c := range w.cFFT {
+			w.t0[i] = complex128(c*sk.negBigFFFT[i]) * qInv
+			w.t1[i] = complex128(c*sk.fFFT[i]) * qInv
+		}
+		ffSampling(w.z0, w.z1, w.t0, w.t1, sk.tree, s.zs, w.levels)
 
 		// s = (t − z)·B computed directly: s0 = c − (z0⊛g + z1⊛G),
 		// s1 = z0⊛f + z1⊛F; all integer vectors, recovered by rounding.
-		gF, GF := s.sk.bFFT[0][0], s.sk.bFFT[1][0]
-		FFb := fft.Scale(s.sk.bFFT[1][1], -1) // F
-		s0f := fft.Sub(cFFT, fft.Add(fft.Mul(z0, gF), fft.Mul(z1, GF)))
-		s1f := fft.Add(fft.Mul(z0, fF), fft.Mul(z1, FFb))
-
-		s0c, ok0 := roundVec(fft.InvFFT(s0f))
-		s1c, ok1 := roundVec(fft.InvFFT(s1f))
-		if !ok0 || !ok1 {
+		s0f, s1f := w.t0, w.t1
+		for i, c := range w.cFFT {
+			z0, z1 := w.z0[i], w.z1[i]
+			s0f[i] = c - (complex128(z0*sk.gFFT[i]) + complex128(z1*sk.bigGFFT[i]))
+			s1f[i] = complex128(z0*sk.fFFT[i]) + complex128(z1*sk.bigFFFT[i])
+		}
+		fft.InvFFTTo(w.r, s0f)
+		if !roundVec(w.s0, w.r) {
+			continue
+		}
+		fft.InvFFTTo(w.r, s1f)
+		if !roundVec(w.s1, w.r) {
 			continue
 		}
 		var norm int64
-		for i := 0; i < n; i++ {
-			norm += int64(s0c[i])*int64(s0c[i]) + int64(s1c[i])*int64(s1c[i])
+		for i := range w.s0 {
+			norm += int64(w.s0[i])*int64(w.s0[i]) + int64(w.s1[i])*int64(w.s1[i])
 		}
-		if norm > s.sk.Params.BoundSq || norm == 0 {
+		if norm > sk.Params.BoundSq || norm == 0 {
 			continue
 		}
-		return &Signature{Salt: salt, S1: s1c}, nil
+		return &Signature{Salt: slices.Clone(w.salt), S1: slices.Clone(w.s1)}, nil
 	}
 	return nil, ErrSignFailed
 }
 
-// roundVec rounds near-integer floats to int16, rejecting implausible
-// magnitudes (defence against float blow-ups).
-func roundVec(v []float64) ([]int16, bool) {
-	out := make([]int16, len(v))
+// roundVec rounds near-integer floats v into out, reporting false on an
+// implausible magnitude (defence against float blow-ups).
+func roundVec(out []int16, v []float64) bool {
 	for i, x := range v {
 		r := math.Round(x)
 		if math.Abs(x-r) > 0.4 || math.Abs(r) > 32000 {
-			return nil, false
+			return false
 		}
 		out[i] = int16(r)
 	}
-	return out, true
+	return true
 }
 
 // SampleStats reports SamplerZ acceptance statistics.

@@ -87,24 +87,49 @@ func (t *treeNode) leafSigmas(out []float64) []float64 {
 	return t.right.leafSigmas(out)
 }
 
+// ffLevel is the scratch of one ffSampling call at ring size n (n ≥ 2),
+// two n-entry vectors: t holds t1's split halves, then t0 + (t1 − z1)·l
+// and its split halves; z holds the two recursive calls' outputs, first
+// z1's halves and then z0's.
+type ffLevel struct{ t, z []complex128 }
+
+// newFFLevels allocates the ffSampling scratch for ring size n, one
+// level per size n, n/2, …, 2.
+func newFFLevels(n int) []ffLevel {
+	var levels []ffLevel
+	for m := n; m >= 2; m /= 2 {
+		levels = append(levels, ffLevel{t: make([]complex128, m), z: make([]complex128, m)})
+	}
+	return levels
+}
+
 // ffSampling draws (z0, z1) ≈ (t0, t1) jointly Gaussian over the lattice
 // described by the tree: Falcon's fast Fourier nearest-plane analogue.
-// t0, t1 and the returned vectors are in the Fourier domain.
-func ffSampling(t0, t1 []complex128, node *treeNode, zs zSampler) (z0, z1 []complex128) {
+// t0, t1 and the outputs z0, z1 are Fourier-domain vectors of one ring
+// size n; levels is newFFLevels(n) (or its tail, below the top).  It
+// allocates nothing and leaves t0 and t1 unchanged.
+func ffSampling(z0, z1, t0, t1 []complex128, node *treeNode, zs zSampler, levels []ffLevel) {
 	n := len(t0)
 	if n == 1 {
 		zv1 := zs.sample(real(t1[0]), node.right.leafSigma)
 		t0p := t0[0] + (t1[0]-complex(zv1, 0))*node.value[0]
 		zv0 := zs.sample(real(t0p), node.left.leafSigma)
-		return []complex128{complex(zv0, 0)}, []complex128{complex(zv1, 0)}
+		z0[0], z1[0] = complex(zv0, 0), complex(zv1, 0)
+		return
 	}
-	t1e, t1o := fft.Split(t1)
-	z1e, z1o := ffSampling(t1e, t1o, node.right, zs)
-	z1 = fft.Merge(z1e, z1o)
+	t, z := levels[0].t, levels[0].z
+	te, to, ze, zo := t[:n/2], t[n/2:], z[:n/2], z[n/2:]
+	fft.SplitTo(te, to, t1)
+	ffSampling(ze, zo, te, to, node.right, zs, levels[1:])
+	fft.MergeTo(z1, ze, zo)
 
-	t0p := fft.Add(t0, fft.Mul(fft.Sub(t1, z1), node.value))
-	t0e, t0o := fft.Split(t0p)
-	z0e, z0o := ffSampling(t0e, t0o, node.left, zs)
-	z0 = fft.Merge(z0e, z0o)
-	return z0, z1
+	// t0 + (t1 − z1)·l; the conversion rounds the product before the
+	// sum, so no platform fuses the two into one multiply-add.
+	l := node.value
+	for j := range t {
+		t[j] = t0[j] + complex128((t1[j]-z1[j])*l[j])
+	}
+	fft.SplitTo(te, to, t)
+	ffSampling(ze, zo, te, to, node.left, zs, levels[1:])
+	fft.MergeTo(z0, ze, zo)
 }

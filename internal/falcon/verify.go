@@ -19,7 +19,8 @@ func (pk *PublicKey) Verify(msg []byte, sig *Signature) error {
 	if sig == nil || len(sig.S1) != n || len(sig.Salt) != SaltLen {
 		return ErrBadLength
 	}
-	c := hashToPoint(sig.Salt, msg, n)
+	c := make([]uint32, n)
+	hashToPoint(c, sig.Salt, msg)
 
 	s1q := make([]uint32, n)
 	for i, v := range sig.S1 {

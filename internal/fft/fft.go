@@ -5,119 +5,138 @@
 // ζ_j = exp(iπ(2j+1)/N); split/merge move between a ring of size N and two
 // rings of size N/2 entirely in the Fourier domain, which is what
 // ffSampling traverses.
+//
+// Every transform has one arithmetic: FFTTo and InvFFTTo run MergeTo's and
+// SplitTo's butterflies in place, and FFT, InvFFT, Split and Merge
+// allocate their result and call those.  So an entry goes through the
+// same operations in the same order whichever form computes it.
 package fft
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
-	"sync"
+	"sync/atomic"
 )
 
-// roots caches ζ_j = exp(iπ(2j+1)/N) per size N.
-var (
-	rootsMu sync.Mutex
-	rootsBy = map[int][]complex128{}
-)
+// rootsByLog holds ζ_j = exp(iπ(2j+1)/N) for N = 2^k at index k, filled
+// on first use without a lock: goroutines that race to fill one entry
+// compute the same values, and the first to store wins.
+var rootsByLog [bits.UintSize]atomic.Pointer[[]complex128]
 
-// Roots returns the N evaluation points ζ_j for ring size N (power of two).
-func Roots(n int) []complex128 {
-	rootsMu.Lock()
-	defer rootsMu.Unlock()
-	if r, ok := rootsBy[n]; ok {
-		return r
-	}
+// logSize returns log₂ n, panicking unless n is a positive power of two.
+func logSize(n int) int {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("fft: size %d is not a positive power of two", n))
+	}
+	return bits.TrailingZeros(uint(n))
+}
+
+// Roots returns the N evaluation points ζ_j for ring size N (power of
+// two).  The slice is shared by every caller and must not be modified.
+func Roots(n int) []complex128 {
+	slot := &rootsByLog[logSize(n)]
+	if r := slot.Load(); r != nil {
+		return *r
 	}
 	r := make([]complex128, n)
 	for j := 0; j < n; j++ {
 		theta := math.Pi * float64(2*j+1) / float64(n)
 		r[j] = cmplx.Exp(complex(0, theta))
 	}
-	rootsBy[n] = r
-	return r
+	slot.CompareAndSwap(nil, &r)
+	return *slot.Load()
 }
 
 // FFT evaluates the real-coefficient polynomial f (length N) at the ζ_j
 // and returns the Fourier-domain vector.
 func FFT(f []float64) []complex128 {
-	c := make([]complex128, len(f))
-	for i, v := range f {
-		c[i] = complex(v, 0)
-	}
-	return FFTComplex(c)
+	F := make([]complex128, len(f))
+	FFTTo(F, f)
+	return F
 }
 
-// FFTComplex is FFT for complex coefficient vectors.
-func FFTComplex(f []complex128) []complex128 {
+// FFTTo is FFT into F, which must have len(f) entries.  It places f in
+// bit-reversed order and merges adjacent blocks bottom up, which is the
+// recursion f ↦ Merge(FFT(even f), FFT(odd f)) run in place.
+func FFTTo(F []complex128, f []float64) {
 	n := len(f)
-	if n == 1 {
-		return []complex128{f[0]}
+	shift := bits.UintSize - logSize(n)
+	for i, v := range f {
+		F[bits.Reverse(uint(i))>>shift] = complex(v, 0)
 	}
-	even := make([]complex128, n/2)
-	odd := make([]complex128, n/2)
-	for i := 0; i < n/2; i++ {
-		even[i] = f[2*i]
-		odd[i] = f[2*i+1]
+	for m := 2; m <= n; m *= 2 {
+		for k := 0; k < n; k += m {
+			MergeTo(F[k:k+m], F[k:k+m/2], F[k+m/2:k+m])
+		}
 	}
-	fe := FFTComplex(even)
-	fo := FFTComplex(odd)
-	return Merge(fe, fo)
 }
 
 // InvFFT interpolates a Fourier-domain vector back to real coefficients.
 // The imaginary parts (rounding noise) are discarded.
 func InvFFT(F []complex128) []float64 {
-	c := invFFTComplex(F)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
+	f := make([]float64, len(F))
+	InvFFTTo(f, append([]complex128(nil), F...))
+	return f
 }
 
-func invFFTComplex(F []complex128) []complex128 {
+// InvFFTTo is InvFFT into f, which must have len(F) entries, using F as
+// its working vector: F is overwritten.  It splits blocks in place top
+// down and reads the result in bit-reversed order, which is the
+// recursion F ↦ interleave(InvFFT(Fe), InvFFT(Fo)) with
+// (Fe, Fo) = Split(F).
+func InvFFTTo(f []float64, F []complex128) {
 	n := len(F)
-	if n == 1 {
-		return []complex128{F[0]}
+	shift := bits.UintSize - logSize(n)
+	for m := n; m >= 2; m /= 2 {
+		for k := 0; k < n; k += m {
+			SplitTo(F[k:k+m/2], F[k+m/2:k+m], F[k:k+m])
+		}
 	}
-	fe, fo := Split(F)
-	even := invFFTComplex(fe)
-	odd := invFFTComplex(fo)
-	out := make([]complex128, n)
-	for i := 0; i < n/2; i++ {
-		out[2*i] = even[i]
-		out[2*i+1] = odd[i]
+	for i := range f {
+		f[i] = real(F[bits.Reverse(uint(i))>>shift])
 	}
-	return out
 }
 
 // Split maps F ∈ FFT(ring N) to (Fe, Fo) ∈ FFT(ring N/2)²: the Fourier
 // images of the even and odd half polynomials with f = fe(x²) + x·fo(x²).
 func Split(F []complex128) (fe, fo []complex128) {
-	n := len(F)
-	z := Roots(n)
-	fe = make([]complex128, n/2)
-	fo = make([]complex128, n/2)
-	for j := 0; j < n/2; j++ {
-		a, b := F[j], F[j+n/2]
+	fe = make([]complex128, len(F)/2)
+	fo = make([]complex128, len(F)/2)
+	SplitTo(fe, fo, F)
+	return fe, fo
+}
+
+// SplitTo is Split into fe and fo, of len(F)/2 entries each.  They may
+// be F's own halves, F[:N/2] and F[N/2:]; no other overlap is allowed.
+func SplitTo(fe, fo, F []complex128) {
+	z := Roots(len(F))
+	h := len(F) / 2
+	for j := 0; j < h; j++ {
+		a, b := F[j], F[j+h]
 		fe[j] = (a + b) / 2
 		fo[j] = (a - b) / (2 * z[j])
 	}
-	return fe, fo
 }
 
 // Merge is the inverse of Split.
 func Merge(fe, fo []complex128) []complex128 {
-	n := 2 * len(fe)
-	z := Roots(n)
-	F := make([]complex128, n)
-	for j := 0; j < n/2; j++ {
-		F[j] = fe[j] + z[j]*fo[j]
-		F[j+n/2] = fe[j] - z[j]*fo[j]
-	}
+	F := make([]complex128, 2*len(fe))
+	MergeTo(F, fe, fo)
 	return F
+}
+
+// MergeTo is Merge into F, of 2·len(fe) entries.  fe and fo may be F's
+// own halves, F[:N/2] and F[N/2:]; no other overlap is allowed.
+func MergeTo(F, fe, fo []complex128) {
+	z := Roots(len(F))
+	h := len(fe)
+	for j := 0; j < h; j++ {
+		a, b := fe[j], fo[j]
+		F[j] = a + z[j]*b
+		F[j+h] = a - z[j]*b
+	}
 }
 
 // Mul returns the pointwise product (ring multiplication in FFT domain).

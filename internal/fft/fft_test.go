@@ -2,7 +2,9 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -149,12 +151,23 @@ func TestAddSubDivScale(t *testing.T) {
 }
 
 func TestRootsPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Roots(3)
+	for name, call := range map[string]func(){
+		"Roots(3)": func() { Roots(3) },
+		"Roots(0)": func() { Roots(0) },
+		"FFTTo":    func() { FFTTo(make([]complex128, 6), make([]float64, 6)) },
+		"InvFFTTo": func() { InvFFTTo(make([]float64, 6), make([]complex128, 6)) },
+		"SplitTo":  func() { SplitTo(make([]complex128, 3), make([]complex128, 3), make([]complex128, 6)) },
+		"MergeTo":  func() { MergeTo(make([]complex128, 6), make([]complex128, 3), make([]complex128, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestHermitianSymmetryOfRealFFT(t *testing.T) {
@@ -166,6 +179,201 @@ func TestHermitianSymmetryOfRealFFT(t *testing.T) {
 		d := F[n-1-j] - complex(real(F[j]), -imag(F[j]))
 		if math.Hypot(real(d), imag(d)) > 1e-9 {
 			t.Fatalf("hermitian symmetry broken at %d", j)
+		}
+	}
+}
+
+// Reference transforms: the recursive, allocating definitions of the
+// FFT, its inverse, Split, Merge and the roots.  Falcon's key and
+// signature pins rest on their exact floating-point results, so the
+// in-place forms must match them bit for bit.
+
+func refRoots(n int) []complex128 {
+	r := make([]complex128, n)
+	for j := 0; j < n; j++ {
+		theta := math.Pi * float64(2*j+1) / float64(n)
+		r[j] = cmplx.Exp(complex(0, theta))
+	}
+	return r
+}
+
+func refFFTComplex(f []complex128) []complex128 {
+	n := len(f)
+	if n == 1 {
+		return []complex128{f[0]}
+	}
+	even := make([]complex128, n/2)
+	odd := make([]complex128, n/2)
+	for i := 0; i < n/2; i++ {
+		even[i] = f[2*i]
+		odd[i] = f[2*i+1]
+	}
+	fe := refFFTComplex(even)
+	fo := refFFTComplex(odd)
+	return refMerge(fe, fo)
+}
+
+func refInvFFTComplex(F []complex128) []complex128 {
+	n := len(F)
+	if n == 1 {
+		return []complex128{F[0]}
+	}
+	fe, fo := refSplit(F)
+	even := refInvFFTComplex(fe)
+	odd := refInvFFTComplex(fo)
+	out := make([]complex128, n)
+	for i := 0; i < n/2; i++ {
+		out[2*i] = even[i]
+		out[2*i+1] = odd[i]
+	}
+	return out
+}
+
+func refSplit(F []complex128) (fe, fo []complex128) {
+	n := len(F)
+	z := refRoots(n)
+	fe = make([]complex128, n/2)
+	fo = make([]complex128, n/2)
+	for j := 0; j < n/2; j++ {
+		a, b := F[j], F[j+n/2]
+		fe[j] = (a + b) / 2
+		fo[j] = (a - b) / (2 * z[j])
+	}
+	return fe, fo
+}
+
+func refMerge(fe, fo []complex128) []complex128 {
+	n := 2 * len(fe)
+	z := refRoots(n)
+	F := make([]complex128, n)
+	for j := 0; j < n/2; j++ {
+		F[j] = fe[j] + z[j]*fo[j]
+		F[j+n/2] = fe[j] - z[j]*fo[j]
+	}
+	return F
+}
+
+func randomComplex(rng *rand.Rand, n int) []complex128 {
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(rng.NormFloat64()*1e3, rng.NormFloat64()*1e3)
+	}
+	return v
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+func requireSameBits(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestInPlaceMatchesRecursiveBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for n := 1; n <= 1024; n *= 2 {
+		requireSameBits(t, "Roots", Roots(n), refRoots(n))
+
+		// FFT of a real vector.
+		f := make([]float64, n)
+		fc := make([]complex128, n)
+		for i := range f {
+			f[i] = rng.NormFloat64() * 1e3
+			fc[i] = complex(f[i], 0)
+		}
+		F := make([]complex128, n)
+		FFTTo(F, f)
+		requireSameBits(t, "FFTTo", F, refFFTComplex(fc))
+		requireSameBits(t, "FFT", FFT(f), F)
+
+		// Inverse FFT: the allocating form keeps its input.
+		G := randomComplex(rng, n)
+		G0 := append([]complex128(nil), G...)
+		ref := refInvFFTComplex(G)
+		want := make([]complex128, n)
+		for i, v := range ref {
+			want[i] = complex(real(v), 0)
+		}
+		back := make([]complex128, n)
+		for i, v := range InvFFT(G) {
+			back[i] = complex(v, 0)
+		}
+		requireSameBits(t, "InvFFT", back, want)
+		requireSameBits(t, "InvFFT input", G, G0)
+		got := make([]float64, n)
+		InvFFTTo(got, G)
+		for i, v := range got {
+			back[i] = complex(v, 0)
+		}
+		requireSameBits(t, "InvFFTTo", back, want)
+
+		if n == 1 {
+			continue
+		}
+		// Split and Merge, into separate buffers and into F's halves.
+		H := randomComplex(rng, n)
+		we, wo := refSplit(H)
+		fe, fo := make([]complex128, n/2), make([]complex128, n/2)
+		SplitTo(fe, fo, H)
+		requireSameBits(t, "SplitTo even", fe, we)
+		requireSameBits(t, "SplitTo odd", fo, wo)
+		se, so := Split(H)
+		requireSameBits(t, "Split even", se, we)
+		requireSameBits(t, "Split odd", so, wo)
+		inPlace := append([]complex128(nil), H...)
+		SplitTo(inPlace[:n/2], inPlace[n/2:], inPlace)
+		requireSameBits(t, "SplitTo in place", inPlace, append(we, wo...))
+
+		wm := refMerge(fe, fo)
+		M := make([]complex128, n)
+		MergeTo(M, fe, fo)
+		requireSameBits(t, "MergeTo", M, wm)
+		requireSameBits(t, "Merge", Merge(fe, fo), wm)
+		MergeTo(inPlace, inPlace[:n/2], inPlace[n/2:])
+		requireSameBits(t, "MergeTo in place", inPlace, wm)
+	}
+}
+
+// TestRootsConcurrentFirstUse: goroutines that fill one table entry at
+// the same time must all get the serial values, and one shared slice.
+func TestRootsConcurrentFirstUse(t *testing.T) {
+	const goroutines = 8
+	sizes := []int{1 << 11, 1 << 12, 1 << 13}
+	for _, n := range sizes {
+		rootsByLog[logSize(n)].Store(nil) // first use, even under -count
+	}
+	got := make([][][]complex128, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, n := range sizes {
+				got[g] = append(got[g], Roots(n))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, n := range sizes {
+		want := refRoots(n)
+		shared := Roots(n)
+		for g := range got {
+			requireSameBits(t, "Roots", got[g][i], want)
+			if &got[g][i][0] != &shared[0] {
+				t.Fatalf("n=%d: goroutine %d kept its own table", n, g)
+			}
 		}
 	}
 }
