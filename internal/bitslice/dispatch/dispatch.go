@@ -8,6 +8,11 @@
 // evaluation width — the backend changes who executes the instruction
 // stream, never what it computes.
 //
+// The same selection picks internal/prng's ChaCha20 block function: at
+// AVX2 or better it fills eight blocks at a time with an AVX2 kernel,
+// under Portable it runs the pure-Go block.  The keystream is the same
+// either way.
+//
 // Override values (CTGAUSS_SIMD): "off"/"portable" force the pure-Go
 // path, "avx2"/"avx512" request a specific kernel set.  Requesting a
 // backend the CPU (or OS) does not support falls back to the best

@@ -460,8 +460,11 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 					// more.Wait cannot observe ctx; a watcher goroutine
 					// converts cancellation into a broadcast.  Started
 					// lazily — only calls that actually block pay for it.
+					// done goes in as an argument: a goroutine literal
+					// that captured it would move it to the heap on
+					// every call, blocking or not.
 					stopWatch = make(chan struct{})
-					go func(stop chan struct{}) {
+					go func(done <-chan struct{}, stop chan struct{}) {
 						select {
 						case <-done:
 							r.mu.Lock()
@@ -469,7 +472,7 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 							r.mu.Unlock()
 						case <-stop:
 						}
-					}(stopWatch)
+					}(done, stopWatch)
 				}
 				t0 := tr.Now()
 				r.more.Wait()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"ctgauss/internal/prng"
@@ -103,14 +104,15 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 
 // TestSignAllocs pins allocation-free signing: Sign runs in the Signer's
 // workspace, so the returned Signature, its Salt and its S1 are the only
-// allocations, whichever rejection-sampler base is underneath.
+// allocations, whichever base is underneath; BaseConvolve's draws go
+// through the engine's ConsumeFrom, which must not allocate either.
 func TestSignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	sk := testKey(t, 256)
 	msg := []byte("allocation budget")
-	for _, kind := range []BaseSamplerKind{BaseBitsliced, BaseCDT, BaseByteScanCDT, BaseLinearCDT} {
+	for _, kind := range []BaseSamplerKind{BaseBitsliced, BaseCDT, BaseByteScanCDT, BaseLinearCDT, BaseConvolve} {
 		signer, err := NewSignerWithKind(sk, kind, []byte("allocs"))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -264,6 +266,97 @@ func TestVerifyRejectsTamperedSignature(t *testing.T) {
 	sig.Salt[0] ^= 1
 	if err := pk.Verify(msg, sig); err == nil {
 		t.Fatal("tampered salt accepted")
+	}
+}
+
+// TestVerifyAllocs: after a key's first Verify has computed h's NTT
+// form, Verify transforms only s1, in stack buffers, and allocates
+// nothing, whether it accepts or rejects.
+func TestVerifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, n := range []int{256, 512} {
+		if n > 256 && testing.Short() {
+			continue
+		}
+		sk := testKey(t, n)
+		signer, err := NewSignerWithKind(sk, BaseBitsliced, []byte("verify allocs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("verify budget")
+		sig, err := signer.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk := sk.Public()
+		allocs := testing.AllocsPerRun(16, func() {
+			if err := pk.Verify(msg, sig); err != nil {
+				t.Fatalf("N=%d: %v", n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("N=%d: %v allocations per Verify, want 0", n, allocs)
+		}
+		tampered := []byte("verify budgeT")
+		allocs = testing.AllocsPerRun(16, func() {
+			if pk.Verify(tampered, sig) == nil {
+				t.Fatalf("N=%d: tampered message accepted", n)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("N=%d: %v allocations per rejecting Verify, want 0", n, allocs)
+		}
+	}
+}
+
+// TestVerifyKeyForms: every way to hold a public key — Public, a
+// decoded encoding, a struct literal — computes h's NTT form on its own
+// first Verify and then keeps accepting the signature and rejecting
+// tampered and wrong-length ones.  The keys are shared by goroutines
+// that verify at once, so the first use races (run under -race in CI).
+func TestVerifyKeyForms(t *testing.T) {
+	sk := testKey(t, 256)
+	signer, err := NewSignerWithKind(sk, BaseBitsliced, []byte("key forms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("key forms")
+	sig, err := signer.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &Signature{Salt: sig.Salt, S1: slices.Clone(sig.S1)}
+	bad.S1[7] += 3000
+	decoded, err := DecodePublic(sk.Public().EncodePublic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pk := range map[string]*PublicKey{
+		"Public":       sk.Public(),
+		"DecodePublic": decoded,
+		"literal":      {Params: sk.Params, H: slices.Clone(sk.H)},
+	} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 4 {
+					if err := pk.Verify(msg, sig); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					if pk.Verify(msg, bad) == nil {
+						t.Errorf("%s: tampered signature accepted", name)
+					}
+					if pk.Verify(msg, &Signature{Salt: sig.Salt, S1: sig.S1[:128]}) != ErrBadLength {
+						t.Errorf("%s: short signature not rejected as malformed", name)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

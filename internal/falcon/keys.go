@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ctgauss/internal/fft"
 	"ctgauss/internal/ntru"
@@ -28,10 +29,13 @@ type PrivateKey struct {
 	ready bool
 }
 
-// PublicKey is h = g·f⁻¹ mod q.
+// PublicKey is h = g·f⁻¹ mod q.  Its first Verify computes and keeps
+// h's NTT form, so H must not change after a key has verified anything.
 type PublicKey struct {
 	Params Params
 	H      []uint16
+
+	hNTT atomic.Pointer[[]uint32]
 }
 
 // Public returns the public key.

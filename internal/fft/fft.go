@@ -20,10 +20,46 @@ import (
 	"sync/atomic"
 )
 
-// rootsByLog holds ζ_j = exp(iπ(2j+1)/N) for N = 2^k at index k, filled
-// on first use without a lock: goroutines that race to fill one entry
+// rings holds the table of ring size N = 2^k at index k, filled on
+// first use without a lock: goroutines that race to fill one entry
 // compute the same values, and the first to store wins.
-var rootsByLog [bits.UintSize]atomic.Pointer[[]complex128]
+var rings [bits.UintSize]atomic.Pointer[ring]
+
+// ring is the per-size table: the roots, and the terms SplitTo divides
+// by.
+type ring struct {
+	// roots are the ζ_j, j < N.
+	roots []complex128
+	// div[j], j < N/2, is Smith's division by 2ζ_j.
+	div []smith
+}
+
+// smith holds what Smith's algorithm (runtime.complex128div) computes
+// from a divisor m alone: which component is larger in magnitude, their
+// ratio and the denominator.  Dividing n by m is then
+//
+//	wide:  ((re n + im n·ratio)/denom, (im n − re n·ratio)/denom)
+//	else:  ((re n·ratio + im n)/denom, (im n·ratio − re n)/denom)
+//
+// operation for operation what the / operator does, except when both
+// halves come out NaN, where complex128div goes on to correct infinities
+// and zeros (C99 Annex G).
+type smith struct {
+	ratio, denom float64
+	// wide reports |re m| ≥ |im m|.
+	wide bool
+}
+
+// smithTerms precomputes Smith's algorithm for dividing by m, with the
+// same expressions as complex128div.
+func smithTerms(m complex128) smith {
+	if math.Abs(real(m)) >= math.Abs(imag(m)) {
+		ratio := imag(m) / real(m)
+		return smith{ratio: ratio, denom: real(m) + ratio*imag(m), wide: true}
+	}
+	ratio := real(m) / imag(m)
+	return smith{ratio: ratio, denom: imag(m) + ratio*real(m)}
+}
 
 // logSize returns log₂ n, panicking unless n is a positive power of two.
 func logSize(n int) int {
@@ -33,21 +69,27 @@ func logSize(n int) int {
 	return bits.TrailingZeros(uint(n))
 }
 
+// ringOf returns the table for ring size n (a power of two).
+func ringOf(n int) *ring {
+	slot := &rings[logSize(n)]
+	if r := slot.Load(); r != nil {
+		return r
+	}
+	r := &ring{roots: make([]complex128, n), div: make([]smith, n/2)}
+	for j := range r.roots {
+		theta := math.Pi * float64(2*j+1) / float64(n)
+		r.roots[j] = cmplx.Exp(complex(0, theta))
+	}
+	for j := range r.div {
+		r.div[j] = smithTerms(2 * r.roots[j])
+	}
+	slot.CompareAndSwap(nil, r)
+	return slot.Load()
+}
+
 // Roots returns the N evaluation points ζ_j for ring size N (power of
 // two).  The slice is shared by every caller and must not be modified.
-func Roots(n int) []complex128 {
-	slot := &rootsByLog[logSize(n)]
-	if r := slot.Load(); r != nil {
-		return *r
-	}
-	r := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		theta := math.Pi * float64(2*j+1) / float64(n)
-		r[j] = cmplx.Exp(complex(0, theta))
-	}
-	slot.CompareAndSwap(nil, &r)
-	return *slot.Load()
-}
+func Roots(n int) []complex128 { return ringOf(n).roots }
 
 // FFT evaluates the real-coefficient polynomial f (length N) at the ζ_j
 // and returns the Fourier-domain vector.
@@ -110,13 +152,39 @@ func Split(F []complex128) (fe, fo []complex128) {
 
 // SplitTo is Split into fe and fo, of len(F)/2 entries each.  They may
 // be F's own halves, F[:N/2] and F[N/2:]; no other overlap is allowed.
+//
+// It computes fe[j] = (a+b)/2 and fo[j] = (a−b)/(2ζ_j) bit for bit as
+// the / operator does, without its runtime call: halving is Smith's
+// algorithm with ratio 0 and denominator 2 written out, and the
+// division by 2ζ_j uses the ring table's precomputed Smith terms.  Only
+// an entry whose two halves both come out NaN (a NaN or an infinity in
+// the input) is recomputed with /, which applies complex128div's
+// corrections.
 func SplitTo(fe, fo, F []complex128) {
-	z := Roots(len(F))
+	r := ringOf(len(F))
 	h := len(F) / 2
-	for j := 0; j < h; j++ {
-		a, b := F[j], F[j+h]
-		fe[j] = (a + b) / 2
-		fo[j] = (a - b) / (2 * z[j])
+	z, div := r.roots[:h], r.div[:h]
+	fe, fo, lo, hi := fe[:h], fo[:h], F[:h], F[h:2*h]
+	for j, s := range div {
+		a, b := lo[j], hi[j]
+		sr, si := real(a)+real(b), imag(a)+imag(b)
+		e, f := (sr+si*0)/2, (si-sr*0)/2
+		if e != e && f != f {
+			fe[j] = (a + b) / 2
+		} else {
+			fe[j] = complex(e, f)
+		}
+		dr, di := real(a)-real(b), imag(a)-imag(b)
+		if s.wide {
+			e, f = (dr+di*s.ratio)/s.denom, (di-dr*s.ratio)/s.denom
+		} else {
+			e, f = (dr*s.ratio+di)/s.denom, (di*s.ratio-dr)/s.denom
+		}
+		if e != e && f != f {
+			fo[j] = (a - b) / (2 * z[j])
+		} else {
+			fo[j] = complex(e, f)
+		}
 	}
 }
 
@@ -130,7 +198,7 @@ func Merge(fe, fo []complex128) []complex128 {
 // MergeTo is Merge into F, of 2·len(fe) entries.  fe and fo may be F's
 // own halves, F[:N/2] and F[N/2:]; no other overlap is allowed.
 func MergeTo(F, fe, fo []complex128) {
-	z := Roots(len(F))
+	z := ringOf(len(F)).roots
 	h := len(fe)
 	for j := 0; j < h; j++ {
 		a, b := fe[j], fo[j]

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -343,13 +344,63 @@ func TestInPlaceMatchesRecursiveBitForBit(t *testing.T) {
 	}
 }
 
+// TestSplitToSpecialValuesBitForBit: SplitTo writes the / operator's
+// complex division out by hand, so it must match it on the inputs where
+// complex128div's branches and corrections matter too: signed zeros,
+// infinities, NaN, subnormals, values whose sum or difference
+// overflows, and all of them against ordinary values.  NaN carries one
+// payload (math.NaN's): which of two different NaN payloads an addition
+// keeps depends on the order the compiler gives its operands, in the
+// reference as much as in SplitTo.
+func TestSplitToSpecialValuesBitForBit(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, 2.2250738585072e-308, -1.5e-310,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 3.5, -1e3,
+	}
+	rng := rand.New(rand.NewSource(23))
+	pick := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.NormFloat64() * 1e3
+		}
+		return specials[rng.Intn(len(specials))]
+	}
+	for n := 2; n <= 1024; n *= 2 {
+		for trial := 0; trial < 4; trial++ {
+			H := make([]complex128, n)
+			for i := range H {
+				H[i] = complex(pick(), pick())
+			}
+			// Every pair of specials meets at least once at n = 1024,
+			// in both halves and in both components.
+			if n == 1024 && trial == 0 {
+				k := 0
+				for _, x := range specials {
+					for _, y := range specials {
+						H[k%(n/2)] = complex(x, y)
+						H[k%(n/2)+n/2] = complex(y, x)
+						k++
+					}
+				}
+			}
+			we, wo := refSplit(H)
+			fe, fo := make([]complex128, n/2), make([]complex128, n/2)
+			SplitTo(fe, fo, H)
+			requireSameBits(t, fmt.Sprintf("n=%d SplitTo even", n), fe, we)
+			requireSameBits(t, fmt.Sprintf("n=%d SplitTo odd", n), fo, wo)
+			SplitTo(H[:n/2], H[n/2:], H)
+			requireSameBits(t, fmt.Sprintf("n=%d SplitTo in place", n), H, append(we, wo...))
+		}
+	}
+}
+
 // TestRootsConcurrentFirstUse: goroutines that fill one table entry at
 // the same time must all get the serial values, and one shared slice.
 func TestRootsConcurrentFirstUse(t *testing.T) {
 	const goroutines = 8
 	sizes := []int{1 << 11, 1 << 12, 1 << 13}
 	for _, n := range sizes {
-		rootsByLog[logSize(n)].Store(nil) // first use, even under -count
+		rings[logSize(n)].Store(nil) // first use, even under -count
 	}
 	got := make([][][]complex128, goroutines)
 	start := make(chan struct{})

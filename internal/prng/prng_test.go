@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	mrand "math/rand"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
+	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/faultinject"
 )
 
@@ -60,6 +63,90 @@ func TestChaCha20StreamContinuity(t *testing.T) {
 	}
 	if !bytes.Equal(one, parts[:200]) {
 		t.Fatal("chunked reads must match one big read")
+	}
+}
+
+// TestChaCha20Pinned pins 1 MiB of keystream read in chunk sizes that
+// cycle through the block (64) and kernel (512) boundaries from both
+// sides, so every mix of the buffered tail, whole Go blocks and
+// eight-block kernel runs must give the same bytes.  It runs under every
+// backend dispatch detects.  The digest predates the vector kernel and
+// the direct-to-slice Fill, so it pins the stream, not the code.
+func TestChaCha20Pinned(t *testing.T) {
+	const want = "4db5572377477268cc77755b558138df7beb9ab5069861bd5f9c60072653aed3"
+	sizes := []int{1, 7, 63, 64, 65, 511, 512, 513, 1024, 1040}
+	buf := make([]byte, 1040)
+	forEachBackend(t, func(t *testing.T) {
+		c := MustChaCha20([]byte("chacha20 keystream pin"))
+		h := sha256.New()
+		for total, i := 0, 0; total < 1<<20; i++ {
+			n := min(sizes[i%len(sizes)], 1<<20-total)
+			c.Fill(buf[:n])
+			h.Write(buf[:n])
+			total += n
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("SHA-256 of 1 MiB of keystream = %s, want %s", got, want)
+		}
+	})
+}
+
+// TestChaCha20KernelMatchesBlock compares Fill against the Go block, one
+// block at a time, on random keys and nonce words, from counter 0 and
+// from every counter 2³²−9 … 2³²−1, where a kernel run must stop short
+// of the wrap and the Go block must carry into word 13.
+func TestChaCha20KernelMatchesBlock(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(20))
+	counters := []uint32{0}
+	for k := uint32(9); k >= 1; k-- {
+		counters = append(counters, math.MaxUint32-k+1)
+	}
+	forEachBackend(t, func(t *testing.T) {
+		for trial := 0; trial < 8; trial++ {
+			key := make([]byte, 32)
+			rng.Read(key)
+			start := *MustChaCha20(key)
+			for i := 13; i < 16; i++ {
+				start.state[i] = rng.Uint32() // nonce words
+			}
+			for _, ctr := range counters {
+				start.state[12] = ctr
+				got, ref := start, start
+				out := make([]byte, 3*blocks8Bytes)
+				got.Fill(out)
+				want := make([]byte, len(out))
+				for i := 0; i < len(want); i += 64 {
+					ref.block((*[64]byte)(want[i:]))
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatalf("trial %d, counter %#x: Fill differs from the Go block", trial, ctr)
+				}
+				if got.state != ref.state {
+					t.Fatalf("trial %d, counter %#x: state %x after Fill, want %x", trial, ctr, got.state, ref.state)
+				}
+			}
+		}
+	})
+}
+
+// backends lists every SIMD backend this CPU has, portable first.
+func backends() []dispatch.Backend {
+	return append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
+}
+
+// forEachBackend runs f once under each backend, restoring the
+// selection afterwards.
+func forEachBackend(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, b := range backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			restore, err := dispatch.Force(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			f(t)
+		})
 	}
 }
 
@@ -387,5 +474,25 @@ func TestServingGODEBUG(t *testing.T) {
 	}
 	if got, want := run(""), servingPRNG(hardwareAES, ""); got != want {
 		t.Errorf("GODEBUG empty: Serving() = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkChaCha20Fill measures keystream throughput in the
+// BitReader's 512-byte refills, one kernel run each, per backend.
+func BenchmarkChaCha20Fill(b *testing.B) {
+	buf := make([]byte, bufSize)
+	for _, be := range backends() {
+		b.Run(be.String(), func(b *testing.B) {
+			restore, err := dispatch.Force(be)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer restore()
+			c := MustChaCha20([]byte("bench"))
+			b.SetBytes(int64(len(buf)))
+			for b.Loop() {
+				c.Fill(buf)
+			}
+		})
 	}
 }
