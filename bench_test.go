@@ -21,6 +21,7 @@ import (
 
 	"ctgauss"
 	"ctgauss/falcon"
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/registry"
@@ -117,7 +118,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 		})
 		b.Run("sigma"+sigma+"/thiswork", func(b *testing.B) {
 			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
-			s := bb.NewWideSampler(prng.MustChaCha20([]byte("t2")), sampler.NativeWidth())
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("t2")), bitslice.Width)
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -125,19 +126,17 @@ func BenchmarkTable2Sampler(b *testing.B) {
 			}
 			b.ReportMetric(float64(bb.Program.OpCount()), "wordops/batch")
 		})
-		// The same circuit at explicit widths (1 = the paper's per-batch
-		// stream layout; the default above is sampler.NativeWidth()).
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("sigma%s/thiswork-w%d", sigma, w), func(b *testing.B) {
-				bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
-				s := bb.NewWideSampler(prng.MustChaCha20([]byte("t2")), w)
-				dst := make([]int, 64)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.NextBatch(dst)
-				}
-			})
-		}
+		// The same circuit at width 1, the paper's per-batch stream
+		// layout (the row above runs at bitslice.Width).
+		b.Run("sigma"+sigma+"/thiswork-w1", func(b *testing.B) {
+			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("t2")), 1)
+			dst := make([]int, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.NextBatch(dst)
+			}
+		})
 		// The pre-optimization reference: the SSA interpreter with the
 		// per-bit unpack loop, kept as the baseline the optimized engine
 		// is measured against.
@@ -165,7 +164,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 				built[key] = bs
 			}
 			builtMu.Unlock()
-			s := bs.NewWideSampler(prng.MustChaCha20([]byte("t2")), sampler.NativeWidth())
+			s := bs.NewWideSampler(prng.MustChaCha20([]byte("t2")), bitslice.Width)
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -183,7 +182,7 @@ func BenchmarkFig5Histogram(b *testing.B) {
 	for _, sigma := range []string{"2", "6.15543"} {
 		b.Run("sigma"+sigma, func(b *testing.B) {
 			bb := benchBuilt(b, sigma, 128, core.MinimizeExact)
-			s := bb.NewWideSampler(prng.MustChaCha20([]byte("fig5")), sampler.NativeWidth())
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("fig5")), bitslice.Width)
 			hist := make(map[int]int)
 			dst := make([]int, 64)
 			b.ResetTimer()
@@ -210,7 +209,7 @@ func BenchmarkPRNGOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := bb.NewWideSampler(src, sampler.NativeWidth())
+			s := bb.NewWideSampler(src, bitslice.Width)
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -237,7 +236,7 @@ func BenchmarkAblationMinimizer(b *testing.B) {
 	for _, min := range []core.Minimizer{core.MinimizeExact, core.MinimizeGreedy, core.MinimizeNone} {
 		b.Run(min.String(), func(b *testing.B) {
 			bb := benchBuilt(b, "2", 128, min)
-			s := bb.NewWideSampler(prng.MustChaCha20([]byte("abl")), sampler.NativeWidth())
+			s := bb.NewWideSampler(prng.MustChaCha20([]byte("abl")), bitslice.Width)
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -266,7 +265,7 @@ func BenchmarkAblationBaselineCSE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := bs.NewWideSampler(prng.MustChaCha20([]byte("cse")), sampler.NativeWidth())
+			s := bs.NewWideSampler(prng.MustChaCha20([]byte("cse")), bitslice.Width)
 			dst := make([]int, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -283,7 +282,7 @@ func BenchmarkSamplerComparison(b *testing.B) {
 	bb := benchBuilt(b, "2", 128, core.MinimizeExact)
 	mk := map[string]func() sampler.Sampler{
 		"bitsliced": func() sampler.Sampler {
-			return bb.NewWideSampler(prng.MustChaCha20([]byte("c")), sampler.NativeWidth())
+			return bb.NewWideSampler(prng.MustChaCha20([]byte("c")), bitslice.Width)
 		},
 		"bitsliced-compiled": func() sampler.Sampler {
 			return sampler.NewCompiled("c", gen.Sigma2Batch, gen.Sigma2BatchInputs, gen.Sigma2BatchValueBits, prng.MustChaCha20([]byte("c")))

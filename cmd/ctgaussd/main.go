@@ -94,8 +94,8 @@ func main() {
 			}
 		}
 		simd := dispatch.Snapshot()
-		fmt.Printf(") simd=%s width=%d available=%s\n",
-			simd.Backend, simd.Width, strings.Join(simd.Available, ","))
+		fmt.Printf(") simd=%s available=%s\n",
+			simd.Backend, strings.Join(simd.Available, ","))
 		if simd.OverrideError != "" {
 			fmt.Printf("simd override: %s\n", simd.OverrideError)
 		}
@@ -165,7 +165,7 @@ func main() {
 		"build_time", time.Since(buildStart).Round(time.Millisecond).String(),
 		"sigmas", *sigmas, "falcon_n", *falconN,
 		"version", b.Version, "go_version", b.GoVersion,
-		"simd", dispatch.Active().String(), "simd_width", dispatch.Active().NativeWidth(),
+		"simd", dispatch.Active().String(),
 		"prng", cmp.Or(*prngName, prng.Serving()))
 	if msg := dispatch.Snapshot().OverrideError; msg != "" {
 		logger.Warn("simd override not honored", "detail", msg)

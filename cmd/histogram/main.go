@@ -15,9 +15,9 @@ import (
 	"os"
 	"strings"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
-	"ctgauss/internal/sampler"
 )
 
 func main() {
@@ -31,8 +31,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// A fixed width, so the figure draws the same stream on every host.
-	s := b.NewWideSampler(prng.MustChaCha20([]byte("histogram")), sampler.DefaultWidth)
+	// The width is a constant, so the figure draws the same stream on
+	// every host.
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("histogram")), bitslice.Width)
 
 	counts := make(map[int]int)
 	dst := make([]int, 64)

@@ -34,6 +34,7 @@ package ctgauss
 import (
 	"fmt"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/gaussian"
 	"ctgauss/internal/prng"
@@ -127,14 +128,11 @@ func NewWithConfig(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The one-shot Sampler pins the portable evaluation width: its
-	// documented examples promise an exact stream for a given seed, so
-	// the stream must not depend on which CPU (or CTGAUSS_SIMD setting)
-	// runs it.  SIMD backends still accelerate this width — the backend
-	// never changes a stream, only the native width does — and the
-	// serving Pool, which makes no cross-machine stream promise, widens
-	// to the backend's native width for throughput.
-	inner := sampler.NewBitslicedWidth("bitsliced-split("+cfg.Sigma+")", built.Optimized(), src, sampler.DefaultWidth)
+	// The one-shot Sampler evaluates at bitslice.Width, the width every
+	// interpreted stream runs at: its documented examples promise an
+	// exact stream for a given seed, and the SIMD backend only changes
+	// how fast that stream is computed, never its samples.
+	inner := sampler.NewBitslicedWidth("bitsliced-split("+cfg.Sigma+")", built.Optimized(), src, bitslice.Width)
 	return &Sampler{built: built, inner: inner}, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ctgauss"
-	"ctgauss/internal/sampler"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -113,13 +112,14 @@ func TestPublicBitsUsedConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sampler evaluates sampler.DefaultWidth batches per refill, so
-	// randomness is drawn once per refill cycle; consumption must be
+	// The sampler evaluates Stats().BatchesPerRefill batches per refill,
+	// so randomness is drawn once per refill cycle; consumption must be
 	// constant across cycles (and independent of the sampled values).
 	batch := make([]int, 64)
+	width := s.Stats().BatchesPerRefill
 	cycle := func() uint64 {
 		before := s.BitsUsed()
-		for j := 0; j < sampler.DefaultWidth; j++ {
+		for j := 0; j < width; j++ {
 			s.NextBatch(batch)
 		}
 		return s.BitsUsed() - before

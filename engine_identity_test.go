@@ -1,12 +1,15 @@
 package ctgauss_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ctgauss"
+	"ctgauss/internal/bitslice/dispatch"
 )
 
 // TestPoolAsyncMatchesSync is the cross-engine bit-identity property
@@ -19,7 +22,7 @@ import (
 //
 // The acceptance golden set (internal/acceptance, testdata/golden.json)
 // pins the same cross-depth contract absolutely: every PRNG backend at
-// widths 1/4/8 is digest-verified at depths 0, 2 and 5 against one
+// widths 1 and 16 is digest-verified at depths 0, 2 and 5 against one
 // recorded stream, so a depth-dependent divergence also fails golden
 // verification — see docs/ACCEPTANCE.md.
 func TestPoolAsyncMatchesSync(t *testing.T) {
@@ -68,6 +71,56 @@ func TestPoolAsyncMatchesSync(t *testing.T) {
 		}
 		ps.Close()
 		pa.Close()
+	}
+}
+
+// TestStreamsIgnoreBackend pins one seed, one stream, on every host: a
+// pool at a σ with no generated circuit and a 1-shard Arbitrary, each
+// built with the portable backend and then with every detected SIMD
+// backend forced, must draw identical samples.  Every interpreted stream
+// evaluates at one constant width, so the backend decides only how fast
+// a stream is computed, never which stream it is.
+func TestStreamsIgnoreBackend(t *testing.T) {
+	seed := []byte("one-seed-one-stream")
+	draw := func(t *testing.T) (pool, arb []int) {
+		p, err := ctgauss.NewPoolWithConfig(ctgauss.Config{Sigma: "3.3", Seed: seed}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		pool = make([]int, 4096)
+		if err := p.Take(context.Background(), pool); err != nil {
+			t.Fatal(err)
+		}
+		a, err := ctgauss.NewArbitrary(ctgauss.ArbitraryConfig{BaseSigmas: []string{"2"}, Shards: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		arb = make([]int, 4096)
+		if err := a.NextBatch(17.5, 0.375, arb); err != nil {
+			t.Fatal(err)
+		}
+		return pool, arb
+	}
+	var wantPool, wantArb []int
+	for _, b := range append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...) {
+		restore, err := dispatch.Force(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, arb := draw(t)
+		restore()
+		if wantPool == nil {
+			wantPool, wantArb = pool, arb
+			continue
+		}
+		if !slices.Equal(pool, wantPool) {
+			t.Errorf("σ=3.3 pool under %s diverges from portable (head %v, want %v)", b, pool[:8], wantPool[:8])
+		}
+		if !slices.Equal(arb, wantArb) {
+			t.Errorf("Arbitrary under %s diverges from portable (head %v, want %v)", b, arb[:8], wantArb[:8])
+		}
 	}
 }
 

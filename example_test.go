@@ -18,7 +18,7 @@ func ExampleNew() {
 	fmt.Println("first samples:", s.Next(), s.Next(), s.Next(), s.Next())
 	// Output:
 	// σ=2 n=128: Δ=5, 1139 leaves in 125 sublists, 3588 word ops, 8384 bits/batch
-	// first samples: -1 0 -1 4
+	// first samples: -2 1 -2 1
 }
 
 func ExampleSampler_NextBatch() {
@@ -32,33 +32,28 @@ func ExampleSampler_NextBatch() {
 	s.NextBatch(batch)
 	fmt.Println(batch[:8])
 	// Output:
-	// [1 0 -1 -4 1 -1 -2 -3]
+	// [-2 -1 -2 1 1 -3 1 1]
 }
 
 func ExampleNewPool() {
 	// A Pool serves one compiled circuit to any number of goroutines;
 	// shards hold independent PRNG streams derived from one seed.
+	// Pinning the PRNG (the serving default depends on AES-NI) makes the
+	// stream a function of the seed alone, on every host and backend.
 	pool, err := ctgauss.NewPoolWithConfig(ctgauss.Config{
 		Sigma:     "2",
 		Precision: 48,
 		Seed:      []byte("example"),
+		PRNG:      "chacha20",
 	}, 4)
 	if err != nil {
 		panic(err)
 	}
 	batch := make([]int, 64)
 	pool.NextBatch(batch) // safe to call from concurrent goroutines
-	// Pool streams depend on the host's SIMD evaluation width, so check
-	// the draw instead of printing machine-dependent sample values.
-	inRange := true
-	for _, z := range batch {
-		if z < -27 || z > 27 { // support of σ=2, τ=13: |z| ≤ ⌈13·2⌉
-			inRange = false
-		}
-	}
-	fmt.Println(pool.Size(), len(batch), inRange)
+	fmt.Println(pool.Size(), batch[:8])
 	// Output:
-	// 4 64 true
+	// 4 [-1 -1 -1 0 0 2 -1 3]
 }
 
 func ExampleNewArbitrary() {

@@ -32,12 +32,12 @@
 // production the signing seeds must come from fresh randomness —
 // predictable salts or Gaussian streams break the scheme.
 //
-// Keys and signatures do not depend on the host: Keygen samples f and g
-// at a fixed evaluation width (16) whatever the SIMD backend, so
-// portable hosts (CTGAUSS_SIMD=off, arm64) derive the same key from a
-// seed as AVX2/AVX-512 hosts.  Keys that portable hosts generated with
-// earlier versions of this package, which sampled at the native width,
-// differ.  The one exception is BaseConvolve, whose signatures follow
-// the convolution layer's base stream, drawn at the host's native width
-// (8 portable, 16 AVX2/AVX-512), as ctgauss.Arbitrary's is.
+// Keys and signatures do not depend on the host: every interpreted
+// stream, Keygen's f and g and BaseConvolve's base draws included, is
+// sampled at one evaluation width (16) whatever the SIMD backend, so
+// portable hosts (CTGAUSS_SIMD=off, arm64) derive the same key and sign
+// the same signatures from a seed as AVX2/AVX-512 hosts.  Keys that
+// portable hosts generated with earlier versions of this package, which
+// sampled at a host-dependent width, differ, and so do BaseConvolve
+// signatures made on portable hosts before the width was fixed.
 package falcon

@@ -8,6 +8,7 @@ import (
 
 	"ctgauss"
 	"ctgauss/falcon"
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/sampler"
@@ -69,7 +70,7 @@ func TestCrossSamplerDistributionAgreement(t *testing.T) {
 	}
 	const samples = 1 << 17
 	families := map[string]sampler.Sampler{
-		"bitsliced": b.NewWideSampler(prng.MustChaCha20([]byte("x1")), sampler.NativeWidth()),
+		"bitsliced": b.NewWideSampler(prng.MustChaCha20([]byte("x1")), bitslice.Width),
 		"cdt":       sampler.NewCDT(b.Table, prng.MustChaCha20([]byte("x2"))),
 		"bytescan":  sampler.NewByteScanCDT(b.Table, prng.MustChaCha20([]byte("x3"))),
 		"linear":    sampler.NewLinearCDT(b.Table, prng.MustChaCha20([]byte("x4"))),

@@ -3,14 +3,15 @@ package acceptance
 import (
 	"testing"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/bitslice/dispatch"
 )
 
 // TestGoldenBackendsIdentical forces every backend this machine can run
 // — portable always, plus each detected SIMD ISA — and regenerates the
-// interpreter golden streams at the SIMD kernel widths (8 and 16) under
-// each.  Every backend must produce the SHA-256 digest pinned in
-// testdata/golden.json: the backend changes who executes the
+// interpreter golden streams at bitslice.Width, the width with SIMD
+// kernels, under each.  Every backend must produce the SHA-256 digest
+// pinned in testdata/golden.json: the backend changes who executes the
 // instruction stream, never a single emitted sample.  This is the
 // serving deployment's cross-fleet contract — a mixed AVX-512/AVX2/
 // portable fleet shards one logical stream space.
@@ -26,12 +27,12 @@ func TestGoldenBackendsIdentical(t *testing.T) {
 
 	var cases []GoldenCase
 	for _, c := range GoldenCases() {
-		if c.Kind == "interp" && (c.Width == 8 || c.Width == 16) {
+		if c.Kind == "interp" && c.Width == bitslice.Width {
 			cases = append(cases, c)
 		}
 	}
 	if len(cases) == 0 {
-		t.Fatal("no interp golden cases at SIMD widths")
+		t.Fatal("no interp golden cases at the SIMD width")
 	}
 
 	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/convolve"
 	"ctgauss/internal/core"
 	"ctgauss/internal/ctcheck"
@@ -93,7 +94,7 @@ func RunCT(opt CTOptions) (timing []TimingResult, work []WorkResult, err error) 
 		// dudect over the bitsliced evaluation: the two classes differ
 		// only in PRNG seed, i.e. in every secret the circuit handles.
 		mkBit := func(seed string) func() {
-			s := b.NewWideSampler(prng.MustChaCha20([]byte(seed)), sampler.NativeWidth())
+			s := b.NewWideSampler(prng.MustChaCha20([]byte(seed)), bitslice.Width)
 			dst := make([]int, 64)
 			return func() { s.NextBatch(dst) }
 		}
@@ -127,14 +128,9 @@ func RunCT(opt CTOptions) (timing []TimingResult, work []WorkResult, err error) 
 			}), 16)
 
 		// Work ledger: the bitsliced sampler must draw a bit-exact
-		// constant amount of randomness per refill at the paper's
-		// per-batch width, the portable width, and — when it differs —
-		// the active SIMD backend's native serving width.
-		widths := []int{1, sampler.DefaultWidth}
-		if nw := sampler.NativeWidth(); nw != sampler.DefaultWidth {
-			widths = append(widths, nw)
-		}
-		for _, width := range widths {
+		// constant amount of randomness per refill at both widths: the
+		// paper's per-batch width 1 and the serving width.
+		for _, width := range []int{1, bitslice.Width} {
 			s := b.NewWideSampler(prng.MustChaCha20([]byte("acceptance-work")), width)
 			var w ctcheck.WorkTrace
 			prev := uint64(0)

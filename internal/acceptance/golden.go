@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/registry"
@@ -18,7 +19,7 @@ import (
 // GoldenCase identifies one pinned stream: a sampler construction whose
 // exact output is part of the repository's contract.
 type GoldenCase struct {
-	// Name is the stable identifier ("interp/chacha20/w4", ...); the seed
+	// Name is the stable identifier ("interp/chacha20/w16", ...); the seed
 	// derives from it, so renaming a case re-keys its stream.
 	Name string `json:"name"`
 	// Kind is "interp" (bitsliced interpreter at Width) or "compiled"
@@ -59,16 +60,16 @@ var GoldenDepths = []int{0, 2, 5}
 // depth.
 const goldenCount = 2048
 
-// GoldenCases enumerates the pinned set: every PRNG backend at every
-// supported engine width on the interpreter path (reduced precision for
-// build speed — the stream contract is configuration-specific, not
+// GoldenCases enumerates the pinned set: every PRNG backend at both
+// evaluation widths on the interpreter path (reduced precision for build
+// speed — the stream contract is configuration-specific, not
 // precision-blind), plus the full-precision pregenerated native circuits.
 func GoldenCases() []GoldenCase {
 	var cases []GoldenCase
 	for _, prngName := range []string{"chacha20", "shake256", "aes-ctr"} {
-		// 8 and 16 are the SIMD kernel widths (portable/AVX2 and AVX-512
-		// native); 1, 2, 4 pin the narrow interpreter layouts.
-		for _, w := range []int{1, 2, 4, 8, 16} {
+		// Width 1 pins the paper's per-batch layout, bitslice.Width the
+		// layout every interpreted serving stream runs at.
+		for _, w := range []int{1, bitslice.Width} {
 			cases = append(cases, GoldenCase{
 				Name:      fmt.Sprintf("interp/%s/w%d", prngName, w),
 				Kind:      "interp",

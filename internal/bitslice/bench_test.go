@@ -1,6 +1,7 @@
 package bitslice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -69,8 +70,8 @@ func BenchmarkRunOptimized(b *testing.B) {
 func BenchmarkRunWide(b *testing.B) {
 	p := benchProgram()
 	o := Optimize(p)
-	for _, w := range []int{4, 8} {
-		b.Run(map[int]string{4: "w4", 8: "w8"}[w], func(b *testing.B) {
+	for _, w := range []int{1, Width} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			in := benchInputs(p.NumInputs * w)
 			slots := o.NewSlots(w)
 			out := make([]uint64, len(o.Outputs)*w)

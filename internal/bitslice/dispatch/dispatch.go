@@ -4,9 +4,10 @@
 // free by policy), the CTGAUSS_SIMD environment override is applied, and
 // the winner is published through an atomic so evaluation reads it with
 // one load.  The pure-Go interpreter is always available as the portable
-// fallback, and every backend produces bit-identical output at a given
-// evaluation width — the backend changes who executes the instruction
-// stream, never what it computes.
+// fallback.  Every backend evaluates at the same width (bitslice.Width)
+// and produces bit-identical output — the backend changes who executes
+// the instruction stream, never what it computes, so a stream depends on
+// its seed alone on every host.
 //
 // The same selection picks internal/prng's ChaCha20 block function: at
 // AVX2 or better it fills eight blocks at a time with an AVX2 kernel,
@@ -36,10 +37,11 @@ const (
 	// Portable is the pure-Go wide interpreter — always available.
 	Portable Backend = iota
 	// AVX2 executes the op stream with 256-bit VPAND-class instructions,
-	// two ymm registers per 8-word slot.
+	// four ymm registers per 16-word slot.
 	AVX2
-	// AVX512 executes the op stream with 512-bit zmm registers; every
-	// opcode — fused or not — is a single VPTERNLOGQ per vector.
+	// AVX512 executes the op stream with 512-bit zmm registers, two per
+	// 16-word slot; every opcode — fused or not — is a single VPTERNLOGQ
+	// per vector.
 	AVX512
 )
 
@@ -54,38 +56,6 @@ func (b Backend) String() string {
 		return "avx512"
 	}
 	return fmt.Sprintf("backend(%d)", int32(b))
-}
-
-// NativeWidth returns the evaluation width (64-bit words per slot) the
-// backend is most efficient at: the width whose slot spans whole vector
-// registers with the fewest dispatches per instruction.  Samplers built
-// without an explicit width evaluate at the active backend's native
-// width, so one refill yields NativeWidth()×64 samples.
-func (b Backend) NativeWidth() int {
-	switch b {
-	case AVX2, AVX512:
-		// Four ymm (AVX2) or two zmm (AVX-512) per slot: 1024 lanes per
-		// evaluation amortizes the per-instruction decode and dispatch
-		// across 16 words.  Measured ~2× the per-sample throughput of
-		// the same kernels at width 8 (BenchmarkRealEngines in
-		// internal/bitslice).
-		return 16
-	default:
-		// The portable interpreter's widest unrolled body; wider slot
-		// files thrash cache without vector registers to fill.
-		return 8
-	}
-}
-
-// Widths returns the evaluation widths the backend has kernels for.
-// The portable interpreter handles every width ≥ 1.
-func (b Backend) Widths() []int {
-	switch b {
-	case AVX2, AVX512:
-		return []int{8, 16}
-	default:
-		return nil // portable: unrestricted
-	}
 }
 
 // active is the selected backend, read per evaluation via one atomic
@@ -204,9 +174,6 @@ func Names() []string {
 type Info struct {
 	// Backend is the active backend's name ("portable", "avx2", ...).
 	Backend string `json:"backend"`
-	// Width is the active backend's native evaluation width in 64-bit
-	// words per slot (samples per refill = Width×64).
-	Width int `json:"width"`
 	// Available lists every backend this CPU supports, portable first.
 	Available []string `json:"available"`
 	// Override echoes CTGAUSS_SIMD when set.
@@ -220,7 +187,6 @@ type Info struct {
 func Snapshot() Info {
 	return Info{
 		Backend:       Active().String(),
-		Width:         Active().NativeWidth(),
 		Available:     Names(),
 		Override:      override,
 		OverrideError: overrideErr,

@@ -34,18 +34,6 @@ func TestChoose(t *testing.T) {
 	}
 }
 
-func TestNativeWidth(t *testing.T) {
-	if w := Portable.NativeWidth(); w != 8 {
-		t.Errorf("portable native width %d, want 8", w)
-	}
-	if w := AVX2.NativeWidth(); w != 16 {
-		t.Errorf("avx2 native width %d, want 16", w)
-	}
-	if w := AVX512.NativeWidth(); w != 16 {
-		t.Errorf("avx512 native width %d, want 16", w)
-	}
-}
-
 func TestForceRoundTrip(t *testing.T) {
 	before := Active()
 	restore, err := Force(Portable)
@@ -81,9 +69,6 @@ func TestSnapshot(t *testing.T) {
 	info := Snapshot()
 	if info.Backend != Active().String() {
 		t.Errorf("snapshot backend %q != active %s", info.Backend, Active())
-	}
-	if info.Width != Active().NativeWidth() {
-		t.Errorf("snapshot width %d != native %d", info.Width, Active().NativeWidth())
 	}
 	if len(info.Available) == 0 || info.Available[0] != "portable" {
 		t.Errorf("available must lead with portable: %v", info.Available)

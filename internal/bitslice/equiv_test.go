@@ -15,10 +15,10 @@ import (
 
 // TestOptimizeSigmaCircuits proves the optimized engine bit-identical to
 // the reference interpreter on both of the paper's generated circuits, at
-// every evaluation width, including the transpose-based unpacking.  The
+// both evaluation widths, including the transpose-based unpacking.  The
 // whole sweep repeats once per available backend (forced portable, then
-// each detected SIMD ISA), so widths 8 and 16 — the ones with assembly
-// kernels — are proven identical across every implementation this
+// each detected SIMD ISA), so bitslice.Width — the width with assembly
+// kernels — is proven identical across every implementation this
 // machine can run.
 func TestOptimizeSigmaCircuits(t *testing.T) {
 	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
@@ -55,7 +55,7 @@ func testOptimizeSigmaCircuits(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewSource(1234))
-			for _, w := range []int{1, 2, 4, 8, 16} {
+			for _, w := range []int{1, bitslice.Width} {
 				for trial := 0; trial < 8; trial++ {
 					wideIn := make([]uint64, p.NumInputs*w)
 					refIn := make([][]uint64, w)

@@ -3,6 +3,8 @@ package bitslice
 import (
 	"math/rand"
 	"testing"
+
+	"ctgauss/internal/bitslice/dispatch"
 )
 
 // fuzzProgram decodes bytes into a valid SSA program: an input count
@@ -39,11 +41,13 @@ func fuzzProgram(data []byte) *Program {
 }
 
 // FuzzProgramOptimize checks the optimizer against the reference
-// interpreter on decoded programs: RunWideInto at widths 1, 3, 8 and 16
-// (the last two on the active SIMD backend, if any) must equal Run lane
-// for lane on every 64-lane block.  Seeds live in
-// testdata/fuzz/FuzzProgramOptimize.
+// interpreter on decoded programs: RunWideInto at width 1, and at Width
+// under the portable backend and under every detected SIMD backend in
+// turn, must equal Run lane for lane on every 64-lane block.  Forcing
+// each backend means an AVX host fuzzes runWide16 as well as its
+// kernels.  Seeds live in testdata/fuzz/FuzzProgramOptimize.
 func FuzzProgramOptimize(f *testing.F) {
+	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
 		if p == nil {
@@ -55,7 +59,7 @@ func FuzzProgramOptimize(f *testing.F) {
 		o := Optimize(p)
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		ref := make([]uint64, p.NumInputs)
-		for _, w := range []int{1, 3, 8, 16} {
+		check := func(w int, backend string) {
 			in := make([]uint64, p.NumInputs*w)
 			for i := range in {
 				in[i] = rng.Uint64()
@@ -68,10 +72,19 @@ func FuzzProgramOptimize(f *testing.F) {
 				}
 				for i, want := range p.Run(ref, nil) {
 					if got := out[i*w+blk]; got != want {
-						t.Fatalf("w=%d block %d output %d: optimized %#x, interpreted %#x", w, blk, i, got, want)
+						t.Fatalf("w=%d %s block %d output %d: optimized %#x, interpreted %#x", w, backend, blk, i, got, want)
 					}
 				}
 			}
+		}
+		check(1, dispatch.Active().String())
+		for _, b := range backends {
+			restore, err := dispatch.Force(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(Width, b.String())
+			restore()
 		}
 	})
 }

@@ -63,9 +63,9 @@ type Optimized struct {
 
 	source *Program
 
-	// simd8/simd16 cache the packed kernel form (simd.go) per
-	// evaluation width; read with one atomic load on the refill path.
-	simd8, simd16 atomic.Pointer[[]simdInstr]
+	// simd caches the packed kernel form (simd.go) at Width; read with
+	// one atomic load on the refill path.
+	simd atomic.Pointer[[]simdInstr]
 }
 
 // Program returns the source program this form was compiled from.
@@ -463,11 +463,11 @@ func allocate(p *Program, vals []absval, code []OInstr) *Optimized {
 	return o
 }
 
-// checkRunArgs panics unless the buffers match the program shape at the
-// given width.
+// checkRunArgs panics unless w is a supported width (1 or Width) and the
+// buffers match the program shape at it.
 func (o *Optimized) checkRunArgs(w int, inputs, slots, out []uint64) {
-	if w < 1 {
-		panic(fmt.Sprintf("bitslice: width %d < 1", w))
+	if w != 1 && w != Width {
+		panic(fmt.Sprintf("bitslice: width %d unsupported: evaluation runs at width 1 or %d", w, Width))
 	}
 	if len(inputs) != o.NumInputs*w {
 		panic(fmt.Sprintf("bitslice: got %d input words, want %d", len(inputs), o.NumInputs*w))

@@ -2,6 +2,7 @@ package bitslice
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -64,7 +65,7 @@ func TestOptimizeEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: optimization grew the program: %d > %d", trial, o.OpCount(), p.OpCount())
 		}
 
-		for _, w := range []int{1, 4, 8, 3} {
+		for _, w := range []int{1, Width} {
 			// Per-block inputs, each checked against an independent
 			// reference run.
 			wideIn := make([]uint64, p.NumInputs*w)
@@ -100,6 +101,24 @@ func TestOptimizeEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunWideRejectsOtherWidths pins the one-width contract: RunWideInto
+// serves width 1 and Width, and any other width panics with a message
+// naming both instead of falling back to a slower body.
+func TestRunWideRejectsOtherWidths(t *testing.T) {
+	o := Optimize(benchProgram())
+	for _, w := range []int{0, 2, 3, 4, 8, 32} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "width 1 or 16") {
+					t.Errorf("w=%d: panic %q, want one naming widths 1 and 16", w, msg)
+				}
+			}()
+			o.RunWideInto(w, make([]uint64, o.NumInputs*w), o.NewSlots(w), make([]uint64, len(o.Outputs)*w))
+		}()
 	}
 }
 

@@ -2,11 +2,11 @@ package bitslice_test
 
 // Benchmarks of the evaluation engines on the paper's real generated
 // circuits (σ=2 and σ=6.15543 at n=128): the reference SSA interpreter,
-// the register-allocated Optimized form at widths 1 and 4, and every
-// SIMD backend this CPU has (plus the portable interpreter) at the
-// kernel widths 8 and 16, each forced through dispatch.Force.  Wide rows
-// report ns/batch (per 64 samples) for comparability; the backend rows
-// also report ns/sample.
+// the register-allocated Optimized form at width 1, and every SIMD
+// backend this CPU has (plus the portable interpreter) at
+// bitslice.Width, each forced through dispatch.Force.  Wide rows report
+// ns/batch (per 64 samples) for comparability; the backend rows also
+// report ns/sample.
 
 import (
 	"fmt"
@@ -59,21 +59,17 @@ func BenchmarkRealEngines(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/batch")
 		}
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("sigma%s/opt-w%d", sigma, w), func(b *testing.B) { runWide(b, w) })
-		}
+		b.Run(fmt.Sprintf("sigma%s/opt-w1", sigma), func(b *testing.B) { runWide(b, 1) })
 		for _, be := range backends {
-			for _, w := range []int{8, 16} {
-				b.Run(fmt.Sprintf("sigma%s/%s/w%d", sigma, be, w), func(b *testing.B) {
-					restore, err := dispatch.Force(be)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer restore()
-					runWide(b, w)
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*64), "ns/sample")
-				})
-			}
+			b.Run(fmt.Sprintf("sigma%s/%s/w%d", sigma, be, bitslice.Width), func(b *testing.B) {
+				restore, err := dispatch.Force(be)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer restore()
+				runWide(b, bitslice.Width)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bitslice.Width*64), "ns/sample")
+			})
 		}
 	}
 }

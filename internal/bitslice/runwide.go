@@ -1,16 +1,24 @@
 package bitslice
 
-// Evaluation of Optimized programs, at width 1 (64 lanes, one word per
-// slot) and at wider W (W contiguous words per slot → W×64 lanes per
-// pass).  The wide forms lay the slot file out slot-major — slot s owns
-// slots[s*W : (s+1)*W] — so every instruction touches W contiguous words
-// with fixed-width inner loops the compiler can unroll and vectorize.
-// Inputs are input-major (input i owns inputs[i*W : (i+1)*W]) and land in
-// the first NumInputs slots with a single contiguous copy; outputs are
-// gathered output-major the same way.
+// Evaluation of Optimized programs at the two supported widths: width 1
+// (64 lanes, one word per slot) and Width (Width contiguous words per
+// slot → Width×64 lanes per pass).  The wide form lays the slot file out
+// slot-major — slot s owns slots[s*Width : (s+1)*Width] — so every
+// instruction touches Width contiguous words with a fixed-width body
+// unrolled by hand.  Inputs are input-major (input i owns
+// inputs[i*Width : (i+1)*Width]) and land in the first NumInputs slots
+// with a single contiguous copy; outputs are gathered output-major the
+// same way.
 //
 // All forms are branch-free with respect to data: the instruction
 // sequence, like the source Program's, is fixed at compile time.
+
+// Width is the evaluation width of every interpreted wide stream, in
+// 64-bit words per slot: one pass yields Width×64 samples.  It is a
+// constant rather than a property of the host, so a stream depends on
+// its seed alone — the SIMD kernels, when present, only run the same
+// width faster.
+const Width = 16
 
 // NewSlots returns a slot file sized for width w evaluations.
 func (o *Optimized) NewSlots(w int) []uint64 { return make([]uint64, o.NumSlots*w) }
@@ -86,44 +94,32 @@ func (o *Optimized) RunInto(inputs, slots, out []uint64) {
 
 // RunWideInto evaluates w 64-lane batches (w×64 lanes) in one pass over
 // the instruction stream, amortizing dispatch across w words per
-// instruction.  inputs is input-major with w words per input, slots must
-// hold NumSlots*w words, out receives len(Outputs)*w words output-major.
+// instruction.  w must be 1 or Width; any other width panics.  inputs is
+// input-major with w words per input, slots must hold NumSlots*w words,
+// out receives len(Outputs)*w words output-major.
 //
-// At widths 8 and 16 the active SIMD backend (dispatch package), if
-// any, interprets the packed op stream in assembly; every backend
-// computes the identical word stream, so the selection is invisible
-// beyond speed.  Otherwise width 8 takes a fixed-width Go
-// specialization and remaining widths the generic loop.
+// At Width the active SIMD backend (dispatch package), if any, interprets
+// the packed op stream in assembly, and runWide16 runs everywhere else;
+// every backend computes the identical word stream, so the selection is
+// invisible beyond speed.
 func (o *Optimized) RunWideInto(w int, inputs, slots, out []uint64) {
 	o.checkRunArgs(w, inputs, slots, out)
-	if (w == 8 || w == 16) && o.runSIMD(w, inputs, slots, out) {
+	if w == 1 {
+		o.RunInto(inputs, slots, out)
 		return
 	}
-	switch w {
-	case 1:
-		o.RunInto(inputs, slots, out)
-	case 8:
-		o.runWide8(inputs, slots, out)
-	default:
-		o.runWideGeneric(w, inputs, slots, out)
+	if !o.runSIMD(inputs, slots, out) {
+		o.runWide16(inputs, slots, out)
 	}
 }
 
-func (o *Optimized) runWide8(inputs, slots, out []uint64) {
-	const w = 8
-	copy(slots[:o.NumInputs*w], inputs)
-	if o.ZeroSlot >= 0 {
-		z := (*[w]uint64)(slots[int(o.ZeroSlot)*w:])
-		for j := range z {
-			z[j] = 0
-		}
-	}
-	if o.OnesSlot >= 0 {
-		n := (*[w]uint64)(slots[int(o.OnesSlot)*w:])
-		for j := range n {
-			n[j] = ^uint64(0)
-		}
-	}
+// runWide16 is the portable wide interpreter: each op runs over one
+// Width-word slot as sixteen unrolled word operations.  The fixed-size
+// array casts hoist every bounds check out of the op body, and the
+// nested switches keep RunInto's branch-tree dispatch.
+func (o *Optimized) runWide16(inputs, slots, out []uint64) {
+	const w = Width
+	o.prepSlots(inputs, slots)
 	for _, in := range o.Code {
 		a := (*[w]uint64)(slots[int(in.A)*w:])
 		b := (*[w]uint64)(slots[int(in.B)*w:])
@@ -139,6 +135,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = a[5] & b[5]
 				d[6] = a[6] & b[6]
 				d[7] = a[7] & b[7]
+				d[8] = a[8] & b[8]
+				d[9] = a[9] & b[9]
+				d[10] = a[10] & b[10]
+				d[11] = a[11] & b[11]
+				d[12] = a[12] & b[12]
+				d[13] = a[13] & b[13]
+				d[14] = a[14] & b[14]
+				d[15] = a[15] & b[15]
 			case OpOr:
 				d[0] = a[0] | b[0]
 				d[1] = a[1] | b[1]
@@ -148,6 +152,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = a[5] | b[5]
 				d[6] = a[6] | b[6]
 				d[7] = a[7] | b[7]
+				d[8] = a[8] | b[8]
+				d[9] = a[9] | b[9]
+				d[10] = a[10] | b[10]
+				d[11] = a[11] | b[11]
+				d[12] = a[12] | b[12]
+				d[13] = a[13] | b[13]
+				d[14] = a[14] | b[14]
+				d[15] = a[15] | b[15]
 			case OpXor:
 				d[0] = a[0] ^ b[0]
 				d[1] = a[1] ^ b[1]
@@ -157,6 +169,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = a[5] ^ b[5]
 				d[6] = a[6] ^ b[6]
 				d[7] = a[7] ^ b[7]
+				d[8] = a[8] ^ b[8]
+				d[9] = a[9] ^ b[9]
+				d[10] = a[10] ^ b[10]
+				d[11] = a[11] ^ b[11]
+				d[12] = a[12] ^ b[12]
+				d[13] = a[13] ^ b[13]
+				d[14] = a[14] ^ b[14]
+				d[15] = a[15] ^ b[15]
 			case OpNot:
 				d[0] = ^a[0]
 				d[1] = ^a[1]
@@ -166,6 +186,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = ^a[5]
 				d[6] = ^a[6]
 				d[7] = ^a[7]
+				d[8] = ^a[8]
+				d[9] = ^a[9]
+				d[10] = ^a[10]
+				d[11] = ^a[11]
+				d[12] = ^a[12]
+				d[13] = ^a[13]
+				d[14] = ^a[14]
+				d[15] = ^a[15]
 			case OpAndNot:
 				d[0] = a[0] &^ b[0]
 				d[1] = a[1] &^ b[1]
@@ -175,6 +203,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = a[5] &^ b[5]
 				d[6] = a[6] &^ b[6]
 				d[7] = a[7] &^ b[7]
+				d[8] = a[8] &^ b[8]
+				d[9] = a[9] &^ b[9]
+				d[10] = a[10] &^ b[10]
+				d[11] = a[11] &^ b[11]
+				d[12] = a[12] &^ b[12]
+				d[13] = a[13] &^ b[13]
+				d[14] = a[14] &^ b[14]
+				d[15] = a[15] &^ b[15]
 			}
 		} else if in.Op <= opAndNotAnd {
 			c := (*[w]uint64)(slots[int(in.C)*w:])
@@ -188,6 +224,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] | (a[5] & b[5])
 				d[6] = c[6] | (a[6] & b[6])
 				d[7] = c[7] | (a[7] & b[7])
+				d[8] = c[8] | (a[8] & b[8])
+				d[9] = c[9] | (a[9] & b[9])
+				d[10] = c[10] | (a[10] & b[10])
+				d[11] = c[11] | (a[11] & b[11])
+				d[12] = c[12] | (a[12] & b[12])
+				d[13] = c[13] | (a[13] & b[13])
+				d[14] = c[14] | (a[14] & b[14])
+				d[15] = c[15] | (a[15] & b[15])
 			case opAndNotOr:
 				d[0] = c[0] | (a[0] &^ b[0])
 				d[1] = c[1] | (a[1] &^ b[1])
@@ -197,6 +241,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] | (a[5] &^ b[5])
 				d[6] = c[6] | (a[6] &^ b[6])
 				d[7] = c[7] | (a[7] &^ b[7])
+				d[8] = c[8] | (a[8] &^ b[8])
+				d[9] = c[9] | (a[9] &^ b[9])
+				d[10] = c[10] | (a[10] &^ b[10])
+				d[11] = c[11] | (a[11] &^ b[11])
+				d[12] = c[12] | (a[12] &^ b[12])
+				d[13] = c[13] | (a[13] &^ b[13])
+				d[14] = c[14] | (a[14] &^ b[14])
+				d[15] = c[15] | (a[15] &^ b[15])
 			case opOrOr:
 				d[0] = c[0] | (a[0] | b[0])
 				d[1] = c[1] | (a[1] | b[1])
@@ -206,6 +258,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] | (a[5] | b[5])
 				d[6] = c[6] | (a[6] | b[6])
 				d[7] = c[7] | (a[7] | b[7])
+				d[8] = c[8] | (a[8] | b[8])
+				d[9] = c[9] | (a[9] | b[9])
+				d[10] = c[10] | (a[10] | b[10])
+				d[11] = c[11] | (a[11] | b[11])
+				d[12] = c[12] | (a[12] | b[12])
+				d[13] = c[13] | (a[13] | b[13])
+				d[14] = c[14] | (a[14] | b[14])
+				d[15] = c[15] | (a[15] | b[15])
 			case opAndAnd:
 				d[0] = c[0] & (a[0] & b[0])
 				d[1] = c[1] & (a[1] & b[1])
@@ -215,6 +275,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] & (a[5] & b[5])
 				d[6] = c[6] & (a[6] & b[6])
 				d[7] = c[7] & (a[7] & b[7])
+				d[8] = c[8] & (a[8] & b[8])
+				d[9] = c[9] & (a[9] & b[9])
+				d[10] = c[10] & (a[10] & b[10])
+				d[11] = c[11] & (a[11] & b[11])
+				d[12] = c[12] & (a[12] & b[12])
+				d[13] = c[13] & (a[13] & b[13])
+				d[14] = c[14] & (a[14] & b[14])
+				d[15] = c[15] & (a[15] & b[15])
 			case opOrAnd:
 				d[0] = c[0] & (a[0] | b[0])
 				d[1] = c[1] & (a[1] | b[1])
@@ -224,6 +292,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] & (a[5] | b[5])
 				d[6] = c[6] & (a[6] | b[6])
 				d[7] = c[7] & (a[7] | b[7])
+				d[8] = c[8] & (a[8] | b[8])
+				d[9] = c[9] & (a[9] | b[9])
+				d[10] = c[10] & (a[10] | b[10])
+				d[11] = c[11] & (a[11] | b[11])
+				d[12] = c[12] & (a[12] | b[12])
+				d[13] = c[13] & (a[13] | b[13])
+				d[14] = c[14] & (a[14] | b[14])
+				d[15] = c[15] & (a[15] | b[15])
 			case opAndNotAnd:
 				d[0] = c[0] & (a[0] &^ b[0])
 				d[1] = c[1] & (a[1] &^ b[1])
@@ -233,6 +309,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = c[5] & (a[5] &^ b[5])
 				d[6] = c[6] & (a[6] &^ b[6])
 				d[7] = c[7] & (a[7] &^ b[7])
+				d[8] = c[8] & (a[8] &^ b[8])
+				d[9] = c[9] & (a[9] &^ b[9])
+				d[10] = c[10] & (a[10] &^ b[10])
+				d[11] = c[11] & (a[11] &^ b[11])
+				d[12] = c[12] & (a[12] &^ b[12])
+				d[13] = c[13] & (a[13] &^ b[13])
+				d[14] = c[14] & (a[14] &^ b[14])
+				d[15] = c[15] & (a[15] &^ b[15])
 			}
 		} else {
 			c := (*[w]uint64)(slots[int(in.C)*w:])
@@ -246,6 +330,14 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = (a[5] & b[5]) &^ c[5]
 				d[6] = (a[6] & b[6]) &^ c[6]
 				d[7] = (a[7] & b[7]) &^ c[7]
+				d[8] = (a[8] & b[8]) &^ c[8]
+				d[9] = (a[9] & b[9]) &^ c[9]
+				d[10] = (a[10] & b[10]) &^ c[10]
+				d[11] = (a[11] & b[11]) &^ c[11]
+				d[12] = (a[12] & b[12]) &^ c[12]
+				d[13] = (a[13] & b[13]) &^ c[13]
+				d[14] = (a[14] & b[14]) &^ c[14]
+				d[15] = (a[15] & b[15]) &^ c[15]
 			case opAndNotAndNot:
 				d[0] = (a[0] &^ b[0]) &^ c[0]
 				d[1] = (a[1] &^ b[1]) &^ c[1]
@@ -255,173 +347,16 @@ func (o *Optimized) runWide8(inputs, slots, out []uint64) {
 				d[5] = (a[5] &^ b[5]) &^ c[5]
 				d[6] = (a[6] &^ b[6]) &^ c[6]
 				d[7] = (a[7] &^ b[7]) &^ c[7]
+				d[8] = (a[8] &^ b[8]) &^ c[8]
+				d[9] = (a[9] &^ b[9]) &^ c[9]
+				d[10] = (a[10] &^ b[10]) &^ c[10]
+				d[11] = (a[11] &^ b[11]) &^ c[11]
+				d[12] = (a[12] &^ b[12]) &^ c[12]
+				d[13] = (a[13] &^ b[13]) &^ c[13]
+				d[14] = (a[14] &^ b[14]) &^ c[14]
+				d[15] = (a[15] &^ b[15]) &^ c[15]
 			}
 		}
 	}
-	for i, s := range o.Outputs {
-		copy(out[i*w:(i+1)*w], slots[int(s)*w:int(s+1)*w])
-	}
-}
-
-// runWideGeneric handles arbitrary widths.  Each op runs over the slot
-// in fixed-width blocks of four words — (*[4]uint64) casts give the
-// compiler constant trip counts it unrolls and vectorizes, where a
-// single runtime-bounded `for j < w` loop kept bounds checks and a
-// per-word branch in the hot path — with a scalar tail for w mod 4.
-func (o *Optimized) runWideGeneric(w int, inputs, slots, out []uint64) {
-	o.prepSlots(w, inputs, slots)
-	wb := w &^ 3
-	for i := range o.Code {
-		in := &o.Code[i]
-		a := slots[int(in.A)*w : (int(in.A)+1)*w]
-		b := slots[int(in.B)*w : (int(in.B)+1)*w]
-		c := slots[int(in.C)*w : (int(in.C)+1)*w]
-		d := slots[int(in.Dst)*w : (int(in.Dst)+1)*w]
-		switch in.Op {
-		case OpAnd:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:])
-				da[0] = aa[0] & ba[0]
-				da[1] = aa[1] & ba[1]
-				da[2] = aa[2] & ba[2]
-				da[3] = aa[3] & ba[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = a[j] & b[j]
-			}
-		case OpOr:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:])
-				da[0] = aa[0] | ba[0]
-				da[1] = aa[1] | ba[1]
-				da[2] = aa[2] | ba[2]
-				da[3] = aa[3] | ba[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = a[j] | b[j]
-			}
-		case OpXor:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:])
-				da[0] = aa[0] ^ ba[0]
-				da[1] = aa[1] ^ ba[1]
-				da[2] = aa[2] ^ ba[2]
-				da[3] = aa[3] ^ ba[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = a[j] ^ b[j]
-			}
-		case OpNot:
-			for j := 0; j < wb; j += 4 {
-				da, aa := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:])
-				da[0] = ^aa[0]
-				da[1] = ^aa[1]
-				da[2] = ^aa[2]
-				da[3] = ^aa[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = ^a[j]
-			}
-		case OpAndNot:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:])
-				da[0] = aa[0] &^ ba[0]
-				da[1] = aa[1] &^ ba[1]
-				da[2] = aa[2] &^ ba[2]
-				da[3] = aa[3] &^ ba[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = a[j] &^ b[j]
-			}
-		case opAndOr:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] | (aa[0] & ba[0])
-				da[1] = ca[1] | (aa[1] & ba[1])
-				da[2] = ca[2] | (aa[2] & ba[2])
-				da[3] = ca[3] | (aa[3] & ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] | (a[j] & b[j])
-			}
-		case opAndNotOr:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] | (aa[0] &^ ba[0])
-				da[1] = ca[1] | (aa[1] &^ ba[1])
-				da[2] = ca[2] | (aa[2] &^ ba[2])
-				da[3] = ca[3] | (aa[3] &^ ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] | (a[j] &^ b[j])
-			}
-		case opOrOr:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] | (aa[0] | ba[0])
-				da[1] = ca[1] | (aa[1] | ba[1])
-				da[2] = ca[2] | (aa[2] | ba[2])
-				da[3] = ca[3] | (aa[3] | ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] | (a[j] | b[j])
-			}
-		case opAndAnd:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] & (aa[0] & ba[0])
-				da[1] = ca[1] & (aa[1] & ba[1])
-				da[2] = ca[2] & (aa[2] & ba[2])
-				da[3] = ca[3] & (aa[3] & ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] & (a[j] & b[j])
-			}
-		case opOrAnd:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] & (aa[0] | ba[0])
-				da[1] = ca[1] & (aa[1] | ba[1])
-				da[2] = ca[2] & (aa[2] | ba[2])
-				da[3] = ca[3] & (aa[3] | ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] & (a[j] | b[j])
-			}
-		case opAndNotAnd:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = ca[0] & (aa[0] &^ ba[0])
-				da[1] = ca[1] & (aa[1] &^ ba[1])
-				da[2] = ca[2] & (aa[2] &^ ba[2])
-				da[3] = ca[3] & (aa[3] &^ ba[3])
-			}
-			for j := wb; j < w; j++ {
-				d[j] = c[j] & (a[j] &^ b[j])
-			}
-		case opAndAndNot:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = (aa[0] & ba[0]) &^ ca[0]
-				da[1] = (aa[1] & ba[1]) &^ ca[1]
-				da[2] = (aa[2] & ba[2]) &^ ca[2]
-				da[3] = (aa[3] & ba[3]) &^ ca[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = (a[j] & b[j]) &^ c[j]
-			}
-		case opAndNotAndNot:
-			for j := 0; j < wb; j += 4 {
-				da, aa, ba, ca := (*[4]uint64)(d[j:]), (*[4]uint64)(a[j:]), (*[4]uint64)(b[j:]), (*[4]uint64)(c[j:])
-				da[0] = (aa[0] &^ ba[0]) &^ ca[0]
-				da[1] = (aa[1] &^ ba[1]) &^ ca[1]
-				da[2] = (aa[2] &^ ba[2]) &^ ca[2]
-				da[3] = (aa[3] &^ ba[3]) &^ ca[3]
-			}
-			for j := wb; j < w; j++ {
-				d[j] = (a[j] &^ b[j]) &^ c[j]
-			}
-		}
-	}
-	o.gatherOutputs(w, slots, out)
+	o.gatherOutputs(slots, out)
 }

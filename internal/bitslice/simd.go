@@ -8,19 +8,17 @@ package bitslice
 //   - opcodes are renumbered contiguously 0..12 (OpZero/OpOnes never
 //     survive Optimize, so the kernel dispatch tree covers every op the
 //     stream can contain),
-//   - slot indices become byte offsets into the slot file at a fixed
-//     width (slot s at width w → s·w·8), so the kernel adds the offset
-//     to the slot base with no multiply,
+//   - slot indices become byte offsets into the slot file at Width
+//     (slot s → s·Width·8), so the kernel adds the offset to the slot
+//     base with no multiply,
 //   - unused operands (B of a NOT, C of any base op) are pointed at A,
 //     so kernels with a uniform load shape — the AVX-512 interpreter
 //     loads A, B and C for every op and folds the whole boolean into
 //     one VPTERNLOGQ — read harmlessly instead of branching.
 //
-// The packed form depends only on the width, not the ISA, so one cached
-// copy serves every backend; it is the "backend-independent optimized
-// form" the registry's shared Optimized carries.
-
-import "sync/atomic"
+// The packed form does not depend on the ISA, so one cached copy serves
+// every backend; it is the "backend-independent optimized form" the
+// registry's shared Optimized carries.
 
 // simdInstr is one packed instruction: a dense opcode and byte offsets
 // of the operand and destination slots.  Layout is part of the kernel
@@ -85,9 +83,9 @@ func denseOp(op Op) uint32 {
 	panic("bitslice: opcode " + op.String() + " has no kernel form")
 }
 
-// packSIMD lowers Code to the packed kernel form at width w.
-func (o *Optimized) packSIMD(w int) []simdInstr {
-	stride := uint32(w) * 8
+// packSIMD lowers Code to the packed kernel form at Width.
+func (o *Optimized) packSIMD() []simdInstr {
+	const stride = Width * 8
 	code := make([]simdInstr, len(o.Code))
 	for i := range o.Code {
 		in := &o.Code[i]
@@ -110,31 +108,23 @@ func (o *Optimized) packSIMD(w int) []simdInstr {
 	return code
 }
 
-// simdCode returns the packed form at width w (8 or 16), packing on
-// first use and caching thereafter.  The cache read is one atomic load
-// — this sits on every refill's path.  Concurrent first uses may both
-// pack; the results are identical and the last store wins.
-func (o *Optimized) simdCode(w int) []simdInstr {
-	var slot *atomic.Pointer[[]simdInstr]
-	switch w {
-	case 8:
-		slot = &o.simd8
-	case 16:
-		slot = &o.simd16
-	default:
-		return nil
-	}
-	if p := slot.Load(); p != nil {
+// simdCode returns the packed form, packing on first use and caching
+// thereafter.  The cache read is one atomic load — this sits on every
+// refill's path.  Concurrent first uses may both pack; the results are
+// identical and the last store wins.
+func (o *Optimized) simdCode() []simdInstr {
+	if p := o.simd.Load(); p != nil {
 		return *p
 	}
-	code := o.packSIMD(w)
-	slot.Store(&code)
+	code := o.packSIMD()
+	o.simd.Store(&code)
 	return code
 }
 
-// prepSlots is the evaluation preamble shared by every backend: load
-// the input words and initialize the constant planes.
-func (o *Optimized) prepSlots(w int, inputs, slots []uint64) {
+// prepSlots is the width-Width evaluation preamble shared by every
+// backend: load the input words and initialize the constant planes.
+func (o *Optimized) prepSlots(inputs, slots []uint64) {
+	const w = Width
 	copy(slots[:o.NumInputs*w], inputs)
 	if o.ZeroSlot >= 0 {
 		z := slots[int(o.ZeroSlot)*w : (int(o.ZeroSlot)+1)*w]
@@ -150,9 +140,10 @@ func (o *Optimized) prepSlots(w int, inputs, slots []uint64) {
 	}
 }
 
-// gatherOutputs is the evaluation epilogue shared by every backend:
-// copy the output slots out output-major.
-func (o *Optimized) gatherOutputs(w int, slots, out []uint64) {
+// gatherOutputs is the width-Width evaluation epilogue shared by every
+// backend: copy the output slots out output-major.
+func (o *Optimized) gatherOutputs(slots, out []uint64) {
+	const w = Width
 	for i, s := range o.Outputs {
 		copy(out[i*w:(i+1)*w], slots[int(s)*w:int(s+1)*w])
 	}

@@ -2,211 +2,34 @@
 //
 // Each kernel walks the 20-byte simdInstr records — {op, aOff, bOff,
 // cOff, dOff} as uint32, offsets in bytes into the slot file — and
-// executes one whole slot (w contiguous uint64s) per instruction with
-// vector registers: two ymm per 8-word slot on AVX2, one zmm on
-// AVX-512 (two of each at width 16).  Operand reads all happen before
-// the destination store, so Dst aliasing an operand slot behaves
-// exactly like the Go interpreters.
+// executes one whole slot (Width = 16 contiguous uint64s) per
+// instruction with vector registers: four ymm per slot on AVX2, two zmm
+// on AVX-512.  Operand reads all happen before the destination store, so
+// Dst aliasing an operand slot behaves exactly like the Go interpreters.
 //
 // Dispatch is a branch tree over the dense opcode, mirroring the Go
 // interpreter's two-level switch (a 13-way indirect jump mispredicts
-// on the irregular generated op sequences).  The AVX-512 kernels don't
+// on the irregular generated op sequences).  The AVX-512 kernel doesn't
 // branch per shape at all beyond selecting an immediate: every opcode
 // — fused or not — is VPTERNLOGQ with the truth table of the whole
 // expression as imm8, over a = 0xF0, b = 0xCC, c = 0xAA.  Unused
 // operands were pointed at A by the packer, so the uniform a/b/c loads
 // are always in bounds.
 //
-// Register budget (all kernels): DI = instruction cursor, BX = end of
+// Register budget (both kernels): DI = instruction cursor, BX = end of
 // code, SI = slot base, AX = opcode, R10-R13 = a/b/c/d byte offsets.
 // R14 (goroutine pointer) and R15 are untouched.  No stack, no calls.
 
 #include "textflag.h"
-
-// func runCodeAVX2W8(code *simdInstr, n int, slots *uint64)
-TEXT ·runCodeAVX2W8(SB), NOSPLIT, $0-24
-	MOVQ code+0(FP), DI
-	MOVQ n+8(FP), AX
-	MOVQ slots+16(FP), SI
-	LEAQ (AX)(AX*4), BX      // n*5
-	LEAQ (DI)(BX*4), BX      // code end = code + n*20
-	VPCMPEQD Y15, Y15, Y15   // all-ones (for NOT)
-	CMPQ DI, BX
-	JAE a8_done
-
-a8_loop:
-	MOVL 0(DI), AX
-	MOVL 4(DI), R10
-	MOVL 8(DI), R11
-	MOVL 12(DI), R12
-	MOVL 16(DI), R13
-	ADDQ $20, DI
-	CMPL AX, $5
-	JB a8_base
-	CMPL AX, $9
-	JB a8_f_low
-	CMPL AX, $11
-	JB a8_f_mid
-	CMPL AX, $12
-	JB a8_andandnot
-	JMP a8_andnotandnot
-
-a8_f_mid:
-	CMPL AX, $10
-	JB a8_orand
-	JMP a8_andnotand
-
-a8_f_low:
-	CMPL AX, $7
-	JB a8_f_ll
-	CMPL AX, $8
-	JB a8_oror
-	JMP a8_andand
-
-a8_f_ll:
-	CMPL AX, $6
-	JB a8_andor
-	JMP a8_andnotor
-
-a8_base:
-	CMPL AX, $2
-	JB a8_b_low
-	CMPL AX, $3
-	JB a8_xor
-	JE a8_not
-	JMP a8_andnot
-
-a8_b_low:
-	CMPL AX, $1
-	JB a8_and
-	JMP a8_or
-
-a8_and: // d = a & b
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPAND (SI)(R11*1), Y0, Y0
-	VPAND 32(SI)(R11*1), Y1, Y1
-	JMP a8_store
-
-a8_or: // d = a | b
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPOR (SI)(R11*1), Y0, Y0
-	VPOR 32(SI)(R11*1), Y1, Y1
-	JMP a8_store
-
-a8_xor: // d = a ^ b
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPXOR (SI)(R11*1), Y0, Y0
-	VPXOR 32(SI)(R11*1), Y1, Y1
-	JMP a8_store
-
-a8_not: // d = ^a
-	VPXOR (SI)(R10*1), Y15, Y0
-	VPXOR 32(SI)(R10*1), Y15, Y1
-	JMP a8_store
-
-a8_andnot: // d = a &^ b = ~b & a
-	VMOVDQU (SI)(R11*1), Y0
-	VMOVDQU 32(SI)(R11*1), Y1
-	VPANDN (SI)(R10*1), Y0, Y0
-	VPANDN 32(SI)(R10*1), Y1, Y1
-	JMP a8_store
-
-a8_andor: // d = c | (a & b)
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPAND (SI)(R11*1), Y0, Y0
-	VPAND 32(SI)(R11*1), Y1, Y1
-	VPOR (SI)(R12*1), Y0, Y0
-	VPOR 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_andnotor: // d = c | (a &^ b)
-	VMOVDQU (SI)(R11*1), Y0
-	VMOVDQU 32(SI)(R11*1), Y1
-	VPANDN (SI)(R10*1), Y0, Y0
-	VPANDN 32(SI)(R10*1), Y1, Y1
-	VPOR (SI)(R12*1), Y0, Y0
-	VPOR 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_oror: // d = c | a | b
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPOR (SI)(R11*1), Y0, Y0
-	VPOR 32(SI)(R11*1), Y1, Y1
-	VPOR (SI)(R12*1), Y0, Y0
-	VPOR 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_andand: // d = c & a & b
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPAND (SI)(R11*1), Y0, Y0
-	VPAND 32(SI)(R11*1), Y1, Y1
-	VPAND (SI)(R12*1), Y0, Y0
-	VPAND 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_orand: // d = c & (a | b)
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPOR (SI)(R11*1), Y0, Y0
-	VPOR 32(SI)(R11*1), Y1, Y1
-	VPAND (SI)(R12*1), Y0, Y0
-	VPAND 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_andnotand: // d = c & (a &^ b)
-	VMOVDQU (SI)(R11*1), Y0
-	VMOVDQU 32(SI)(R11*1), Y1
-	VPANDN (SI)(R10*1), Y0, Y0
-	VPANDN 32(SI)(R10*1), Y1, Y1
-	VPAND (SI)(R12*1), Y0, Y0
-	VPAND 32(SI)(R12*1), Y1, Y1
-	JMP a8_store
-
-a8_andandnot: // d = (a & b) &^ c = ~c & (a & b)
-	VMOVDQU (SI)(R12*1), Y2
-	VMOVDQU 32(SI)(R12*1), Y3
-	VMOVDQU (SI)(R10*1), Y0
-	VMOVDQU 32(SI)(R10*1), Y1
-	VPAND (SI)(R11*1), Y0, Y0
-	VPAND 32(SI)(R11*1), Y1, Y1
-	VPANDN Y0, Y2, Y0
-	VPANDN Y1, Y3, Y1
-	JMP a8_store
-
-a8_andnotandnot: // d = (a &^ b) &^ c = ~c & (~b & a)
-	VMOVDQU (SI)(R12*1), Y2
-	VMOVDQU 32(SI)(R12*1), Y3
-	VMOVDQU (SI)(R11*1), Y0
-	VMOVDQU 32(SI)(R11*1), Y1
-	VPANDN (SI)(R10*1), Y0, Y0
-	VPANDN 32(SI)(R10*1), Y1, Y1
-	VPANDN Y0, Y2, Y0
-	VPANDN Y1, Y3, Y1
-
-a8_store:
-	VMOVDQU Y0, (SI)(R13*1)
-	VMOVDQU Y1, 32(SI)(R13*1)
-	CMPQ DI, BX
-	JB a8_loop
-
-a8_done:
-	VZEROUPPER
-	RET
 
 // func runCodeAVX2W16(code *simdInstr, n int, slots *uint64)
 TEXT ·runCodeAVX2W16(SB), NOSPLIT, $0-24
 	MOVQ code+0(FP), DI
 	MOVQ n+8(FP), AX
 	MOVQ slots+16(FP), SI
-	LEAQ (AX)(AX*4), BX
-	LEAQ (DI)(BX*4), BX
-	VPCMPEQD Y15, Y15, Y15
+	LEAQ (AX)(AX*4), BX      // n*5
+	LEAQ (DI)(BX*4), BX      // code end = code + n*20
+	VPCMPEQD Y15, Y15, Y15   // all-ones (for NOT)
 	CMPQ DI, BX
 	JAE a16_done
 
@@ -257,7 +80,7 @@ a16_b_low:
 	JB a16_and
 	JMP a16_or
 
-a16_and:
+a16_and: // d = a & b
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -268,7 +91,7 @@ a16_and:
 	VPAND 96(SI)(R11*1), Y3, Y3
 	JMP a16_store
 
-a16_or:
+a16_or: // d = a | b
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -279,7 +102,7 @@ a16_or:
 	VPOR 96(SI)(R11*1), Y3, Y3
 	JMP a16_store
 
-a16_xor:
+a16_xor: // d = a ^ b
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -290,14 +113,14 @@ a16_xor:
 	VPXOR 96(SI)(R11*1), Y3, Y3
 	JMP a16_store
 
-a16_not:
+a16_not: // d = ^a
 	VPXOR (SI)(R10*1), Y15, Y0
 	VPXOR 32(SI)(R10*1), Y15, Y1
 	VPXOR 64(SI)(R10*1), Y15, Y2
 	VPXOR 96(SI)(R10*1), Y15, Y3
 	JMP a16_store
 
-a16_andnot:
+a16_andnot: // d = a &^ b = ~b & a
 	VMOVDQU (SI)(R11*1), Y0
 	VMOVDQU 32(SI)(R11*1), Y1
 	VMOVDQU 64(SI)(R11*1), Y2
@@ -308,7 +131,7 @@ a16_andnot:
 	VPANDN 96(SI)(R10*1), Y3, Y3
 	JMP a16_store
 
-a16_andor:
+a16_andor: // d = c | (a & b)
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -323,7 +146,7 @@ a16_andor:
 	VPOR 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_andnotor:
+a16_andnotor: // d = c | (a &^ b)
 	VMOVDQU (SI)(R11*1), Y0
 	VMOVDQU 32(SI)(R11*1), Y1
 	VMOVDQU 64(SI)(R11*1), Y2
@@ -338,7 +161,7 @@ a16_andnotor:
 	VPOR 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_oror:
+a16_oror: // d = c | a | b
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -353,7 +176,7 @@ a16_oror:
 	VPOR 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_andand:
+a16_andand: // d = c & a & b
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -368,7 +191,7 @@ a16_andand:
 	VPAND 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_orand:
+a16_orand: // d = c & (a | b)
 	VMOVDQU (SI)(R10*1), Y0
 	VMOVDQU 32(SI)(R10*1), Y1
 	VMOVDQU 64(SI)(R10*1), Y2
@@ -383,7 +206,7 @@ a16_orand:
 	VPAND 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_andnotand:
+a16_andnotand: // d = c & (a &^ b)
 	VMOVDQU (SI)(R11*1), Y0
 	VMOVDQU 32(SI)(R11*1), Y1
 	VMOVDQU 64(SI)(R11*1), Y2
@@ -398,7 +221,7 @@ a16_andnotand:
 	VPAND 96(SI)(R12*1), Y3, Y3
 	JMP a16_store
 
-a16_andandnot:
+a16_andandnot: // d = (a & b) &^ c = ~c & (a & b)
 	VMOVDQU (SI)(R12*1), Y4
 	VMOVDQU 32(SI)(R12*1), Y5
 	VMOVDQU 64(SI)(R12*1), Y6
@@ -417,7 +240,7 @@ a16_andandnot:
 	VPANDN Y3, Y7, Y3
 	JMP a16_store
 
-a16_andnotandnot:
+a16_andnotandnot: // d = (a &^ b) &^ c = ~c & (~b & a)
 	VMOVDQU (SI)(R12*1), Y4
 	VMOVDQU 32(SI)(R12*1), Y5
 	VMOVDQU 64(SI)(R12*1), Y6
@@ -447,130 +270,11 @@ a16_done:
 	VZEROUPPER
 	RET
 
-// func runCodeAVX512W8(code *simdInstr, n int, slots *uint64)
+// func runCodeAVX512W16(code *simdInstr, n int, slots *uint64)
 //
 // Uniform handlers: load a and b, then a single VPTERNLOGQ with c as
 // the memory operand and the whole expression's truth table as imm8
 // (a = 0xF0, b = 0xCC, c = 0xAA).
-TEXT ·runCodeAVX512W8(SB), NOSPLIT, $0-24
-	MOVQ code+0(FP), DI
-	MOVQ n+8(FP), AX
-	MOVQ slots+16(FP), SI
-	LEAQ (AX)(AX*4), BX
-	LEAQ (DI)(BX*4), BX
-	CMPQ DI, BX
-	JAE z8_done
-
-z8_loop:
-	MOVL 0(DI), AX
-	MOVL 4(DI), R10
-	MOVL 8(DI), R11
-	MOVL 12(DI), R12
-	MOVL 16(DI), R13
-	ADDQ $20, DI
-	VMOVDQU64 (SI)(R10*1), Z0
-	VMOVDQU64 (SI)(R11*1), Z1
-	CMPL AX, $5
-	JB z8_base
-	CMPL AX, $9
-	JB z8_f_low
-	CMPL AX, $11
-	JB z8_f_mid
-	CMPL AX, $12
-	JB z8_andandnot
-	JMP z8_andnotandnot
-
-z8_f_mid:
-	CMPL AX, $10
-	JB z8_orand
-	JMP z8_andnotand
-
-z8_f_low:
-	CMPL AX, $7
-	JB z8_f_ll
-	CMPL AX, $8
-	JB z8_oror
-	JMP z8_andand
-
-z8_f_ll:
-	CMPL AX, $6
-	JB z8_andor
-	JMP z8_andnotor
-
-z8_base:
-	CMPL AX, $2
-	JB z8_b_low
-	CMPL AX, $3
-	JB z8_xor
-	JE z8_not
-	JMP z8_andnot
-
-z8_b_low:
-	CMPL AX, $1
-	JB z8_and
-	JMP z8_or
-
-z8_and: // a & b
-	VPTERNLOGQ $0xC0, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_or: // a | b
-	VPTERNLOGQ $0xFC, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_xor: // a ^ b
-	VPTERNLOGQ $0x3C, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_not: // ^a
-	VPTERNLOGQ $0x0F, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andnot: // a &^ b
-	VPTERNLOGQ $0x30, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andor: // c | (a & b)
-	VPTERNLOGQ $0xEA, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andnotor: // c | (a &^ b)
-	VPTERNLOGQ $0xBA, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_oror: // c | a | b
-	VPTERNLOGQ $0xFE, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andand: // c & a & b
-	VPTERNLOGQ $0x80, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_orand: // c & (a | b)
-	VPTERNLOGQ $0xA8, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andnotand: // c & (a &^ b)
-	VPTERNLOGQ $0x20, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andandnot: // (a & b) &^ c
-	VPTERNLOGQ $0x40, (SI)(R12*1), Z1, Z0
-	JMP z8_store
-
-z8_andnotandnot: // (a &^ b) &^ c
-	VPTERNLOGQ $0x10, (SI)(R12*1), Z1, Z0
-
-z8_store:
-	VMOVDQU64 Z0, (SI)(R13*1)
-	CMPQ DI, BX
-	JB z8_loop
-
-z8_done:
-	VZEROUPPER
-	RET
-
-// func runCodeAVX512W16(code *simdInstr, n int, slots *uint64)
 TEXT ·runCodeAVX512W16(SB), NOSPLIT, $0-24
 	MOVQ code+0(FP), DI
 	MOVQ n+8(FP), AX
@@ -631,67 +335,67 @@ z16_b_low:
 	JB z16_and
 	JMP z16_or
 
-z16_and:
+z16_and: // a & b
 	VPTERNLOGQ $0xC0, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xC0, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_or:
+z16_or: // a | b
 	VPTERNLOGQ $0xFC, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xFC, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_xor:
+z16_xor: // a ^ b
 	VPTERNLOGQ $0x3C, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x3C, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_not:
+z16_not: // ^a
 	VPTERNLOGQ $0x0F, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x0F, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andnot:
+z16_andnot: // a &^ b
 	VPTERNLOGQ $0x30, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x30, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andor:
+z16_andor: // c | (a & b)
 	VPTERNLOGQ $0xEA, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xEA, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andnotor:
+z16_andnotor: // c | (a &^ b)
 	VPTERNLOGQ $0xBA, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xBA, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_oror:
+z16_oror: // c | a | b
 	VPTERNLOGQ $0xFE, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xFE, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andand:
+z16_andand: // c & a & b
 	VPTERNLOGQ $0x80, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x80, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_orand:
+z16_orand: // c & (a | b)
 	VPTERNLOGQ $0xA8, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0xA8, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andnotand:
+z16_andnotand: // c & (a &^ b)
 	VPTERNLOGQ $0x20, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x20, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andandnot:
+z16_andandnot: // (a & b) &^ c
 	VPTERNLOGQ $0x40, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x40, 64(SI)(R12*1), Z3, Z2
 	JMP z16_store
 
-z16_andnotandnot:
+z16_andnotandnot: // (a &^ b) &^ c
 	VPTERNLOGQ $0x10, (SI)(R12*1), Z1, Z0
 	VPTERNLOGQ $0x10, 64(SI)(R12*1), Z3, Z2
 

@@ -2,10 +2,10 @@
 
 package bitslice
 
-// runSIMD has no kernels off amd64; evaluation always takes the
-// portable interpreters.  (dispatch never selects a vector backend on
-// these platforms, so this stub is unreachable in practice but keeps
-// the call site unconditional.)
-func (o *Optimized) runSIMD(w int, inputs, slots, out []uint64) bool {
+// runSIMD has no kernels off amd64; evaluation always takes runWide16.
+// (dispatch never selects a vector backend on these platforms, so this
+// stub is unreachable in practice but keeps the call site
+// unconditional.)
+func (o *Optimized) runSIMD(inputs, slots, out []uint64) bool {
 	return false
 }

@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/engine"
 	"ctgauss/internal/obs"
@@ -195,22 +196,20 @@ func New(cfg Config) (*Sampler, error) {
 		s.shards[i] = &shard{coins: prng.NewBitReader(src)}
 	}
 	// One engine per base member: shard i of every engine holds that
-	// shard's independent stream for the member, refilled a native-width
-	// evaluation (width×64 lanes) at a time ahead of demand.  The width
-	// is read once here so every member's stream, refill quantum, and
-	// bit ledger agree even if a test flips the backend mid-lifetime.
+	// shard's independent stream for the member, refilled one
+	// bitslice.Width evaluation (Width×64 lanes) at a time ahead of
+	// demand.
 	depth := engine.DepthFor(cfg.Prefetch)
-	baseWidth := sampler.NativeWidth()
 	s.engines = make([]*engine.Engine[int], len(members))
 	s.baseBits = make([]uint64, len(members))
 	for bi, art := range members {
-		s.baseBits[bi] = uint64(art.Program.NumInputs+1) * 64 * uint64(baseWidth)
-		s.engines[bi], err = sampler.NewEngine(cfg.Shards, baseWidth, depth, func(i int) (sampler.BatchSampler, error) {
+		s.baseBits[bi] = uint64(art.Program.NumInputs+1) * 64 * bitslice.Width
+		s.engines[bi], err = sampler.NewEngine(cfg.Shards, bitslice.Width, depth, func(i int) (sampler.BatchSampler, error) {
 			src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i, bi))
 			if err != nil {
 				return nil, err
 			}
-			return art.NewWideSampler(src, baseWidth), nil
+			return art.NewWideSampler(src, bitslice.Width), nil
 		})
 		if err != nil {
 			s.Close()

@@ -307,9 +307,9 @@ func (b *Built) Optimized() *bitslice.Optimized {
 }
 
 // NewWideSampler instantiates a constant-time sampler over the built
-// program with its own PRNG state, at evaluation width w (1 = the
-// paper's per-batch form, 8/16 = the SIMD kernel widths; the stream
-// layout depends on w, see sampler.NativeWidth).
+// program with its own PRNG state, at evaluation width w: 1 (the paper's
+// per-batch form) or bitslice.Width (the serving width).  The stream
+// layout depends on w and on nothing about the host.
 func (b *Built) NewWideSampler(src prng.Source, w int) *sampler.Bitsliced {
 	return sampler.NewBitslicedWidth(fmt.Sprintf("bitsliced-wide%d(%s)", w, b.Config.Sigma), b.Optimized(), src, w)
 }

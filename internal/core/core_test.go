@@ -8,7 +8,6 @@ import (
 	"ctgauss/internal/bitslice"
 	"ctgauss/internal/ddg"
 	"ctgauss/internal/prng"
-	"ctgauss/internal/sampler"
 )
 
 func build(t *testing.T, sigma string, n int, min Minimizer) *Built {
@@ -109,7 +108,7 @@ func TestExactNeverWorseThanGreedyOrNone(t *testing.T) {
 
 func TestSamplerDistributionSigma2(t *testing.T) {
 	b := build(t, "2", 48, MinimizeExact)
-	s := b.NewWideSampler(prng.MustChaCha20([]byte("dist-test")), sampler.NativeWidth())
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("dist-test")), bitslice.Width)
 	const samples = 1 << 18
 	counts := make(map[int]int)
 	for i := 0; i < samples; i++ {
@@ -144,7 +143,7 @@ func TestSimpleBaselineDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := bs.NewWideSampler(prng.MustChaCha20([]byte("simple")), sampler.NativeWidth())
+	s := bs.NewWideSampler(prng.MustChaCha20([]byte("simple")), bitslice.Width)
 	const samples = 1 << 16
 	counts := make(map[int]int)
 	for i := 0; i < samples; i++ {
@@ -178,8 +177,8 @@ func TestSplitBeatsSimpleOnOpCount(t *testing.T) {
 
 func TestBatchAndNextAgree(t *testing.T) {
 	b := build(t, "2", 32, MinimizeExact)
-	s1 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), sampler.NativeWidth())
-	s2 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), sampler.NativeWidth())
+	s1 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), bitslice.Width)
+	s2 := b.NewWideSampler(prng.MustChaCha20([]byte("same")), bitslice.Width)
 	batch := make([]int, 64)
 	s2.NextBatch(batch)
 	for i := 0; i < 64; i++ {
@@ -191,10 +190,10 @@ func TestBatchAndNextAgree(t *testing.T) {
 
 func TestBitsPerBatchMatchesCircuitWidth(t *testing.T) {
 	b := build(t, "2", 32, MinimizeExact)
-	s := b.NewWideSampler(prng.MustChaCha20([]byte("bits")), sampler.NativeWidth())
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("bits")), bitslice.Width)
 	s.Next()
-	// One refill evaluates Width (the backend's native width) batches,
-	// each costing NumInputs input words plus one sign word.
+	// One refill evaluates bitslice.Width batches, each costing
+	// NumInputs input words plus one sign word.
 	wantBits := uint64(b.Program.NumInputs+1) * 64 * uint64(s.Width())
 	if s.BitsUsed() != wantBits {
 		t.Fatalf("BitsUsed = %d, want %d", s.BitsUsed(), wantBits)
@@ -232,7 +231,7 @@ func TestFullPrecisionBuildSigma2(t *testing.T) {
 	if b.Tree.Delta != 5 {
 		t.Fatalf("Δ = %d, want 5 (paper reports 4; see docs/ARCHITECTURE.md, Δ against the paper)", b.Tree.Delta)
 	}
-	s := b.NewWideSampler(prng.MustChaCha20([]byte("full")), sampler.NativeWidth())
+	s := b.NewWideSampler(prng.MustChaCha20([]byte("full")), bitslice.Width)
 	var sq float64
 	const samples = 1 << 16
 	for i := 0; i < samples; i++ {

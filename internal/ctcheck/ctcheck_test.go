@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/sampler"
@@ -90,15 +91,15 @@ func TestWorkTraceCorrelation(t *testing.T) {
 // TestBitslicedSamplerWorkIsConstant verifies the paper's central security
 // claim deterministically: the bitsliced sampler consumes a fixed number
 // of random bits and executes a fixed instruction sequence, regardless of
-// the sampled values.  At any width the consumption cadence is one fixed
-// draw per refill (width batches); at width 1 that is the paper's exact
-// per-batch form.
+// the sampled values.  At either width the consumption cadence is one
+// fixed draw per refill (width batches); at width 1 that is the paper's
+// exact per-batch form.
 func TestBitslicedSamplerWorkIsConstant(t *testing.T) {
 	b, err := core.Build(core.Config{Sigma: "2", N: 64, TailCut: 13, Min: core.MinimizeExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{1, sampler.DefaultWidth} {
+	for _, width := range []int{1, bitslice.Width} {
 		s := b.NewWideSampler(prng.MustChaCha20([]byte("ct")), width)
 		var w WorkTrace
 		prev := uint64(0)

@@ -2,7 +2,9 @@ package falcon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Signature and key serialisation.  The signature payload uses the spec's
@@ -32,30 +34,18 @@ func (w *bitWriter) writeBits(v uint, width uint) {
 	}
 }
 
-type bitReader struct {
-	buf []byte
-	n   uint
-}
-
-func (r *bitReader) readBit() (uint, error) {
-	if r.n >= uint(len(r.buf))*8 {
-		return 0, fmt.Errorf("falcon: bitstream exhausted")
+// refill tops up a payload reader's 64-bit accumulator a byte at a time
+// from data[pos:], until it holds more than 56 unread bits or data runs
+// out.  acc holds the nbits unread bits left-aligned, every bit below
+// them zero.  The reader is three locals rather than a struct so the
+// compiler keeps it in registers.
+func refill(data []byte, pos int, acc uint64, nbits uint) (int, uint64, uint) {
+	for nbits <= 56 && pos < len(data) {
+		acc |= uint64(data[pos]) << (56 - nbits)
+		pos++
+		nbits += 8
 	}
-	b := uint(r.buf[r.n/8]>>(7-r.n%8)) & 1
-	r.n++
-	return b, nil
-}
-
-func (r *bitReader) readBits(width uint) (uint, error) {
-	var v uint
-	for i := uint(0); i < width; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | b
-	}
-	return v, nil
+	return pos, acc, nbits
 }
 
 // compressCoeffs encodes signed coefficients.
@@ -78,35 +68,43 @@ func compressCoeffs(cs []int16) []byte {
 	return w.buf
 }
 
-// decompressCoeffs decodes n signed coefficients.
+// decompressCoeffs decodes n signed coefficients.  Each coefficient's
+// sign and low bits are the accumulator's top byte, and its unary high
+// part is one leading-zero count, so decoding costs a few word
+// operations per coefficient.
 func decompressCoeffs(data []byte, n int) ([]int16, error) {
-	r := bitReader{buf: data}
+	pos, acc, nbits := 0, uint64(0), uint(0)
 	out := make([]int16, n)
-	for i := 0; i < n; i++ {
-		sign, err := r.readBit()
-		if err != nil {
-			return nil, err
+	for i := range out {
+		pos, acc, nbits = refill(data, pos, acc, nbits)
+		if nbits < 8 {
+			return nil, errExhausted
 		}
-		low, err := r.readBits(7)
-		if err != nil {
-			return nil, err
-		}
+		head := uint(acc >> 56) // sign bit, then 7 low magnitude bits
+		acc <<= 8
+		nbits -= 8
+		// Unread bits are left-aligned over zeros, so a leading-zero
+		// count stops at the terminating one or covers every unread bit;
+		// only a run that outlasts the accumulator refills it.
 		high := uint(0)
 		for {
-			b, err := r.readBit()
-			if err != nil {
-				return nil, err
-			}
-			if b == 1 {
-				break
-			}
-			high++
+			z := min(uint(bits.LeadingZeros64(acc)), nbits)
+			high += z
 			if high > 255 {
 				return nil, fmt.Errorf("falcon: unary run too long")
 			}
+			if z < nbits {
+				acc <<= z + 1
+				nbits -= z + 1
+				break
+			}
+			pos, acc, nbits = refill(data, pos, 0, 0)
+			if nbits == 0 {
+				return nil, errExhausted
+			}
 		}
-		v := int(high<<7 | low)
-		if sign == 1 {
+		v := int(high<<7 | head&0x7f)
+		if head>>7 == 1 {
 			if v == 0 {
 				return nil, fmt.Errorf("falcon: negative zero encoding")
 			}
@@ -117,13 +115,17 @@ func decompressCoeffs(data []byte, n int) ([]int16, error) {
 	// Only the canonical encoding decodes, as in Falcon's reference
 	// decoder: the payload ends in the byte holding the last coefficient's
 	// final bit, and that byte's unused low bits are zero.  Otherwise
-	// distinct byte strings would carry the same valid signature.
-	pad := (8 - r.n%8) % 8
-	if (r.n+7)/8 != uint(len(data)) || data[len(data)-1]&(1<<pad-1) != 0 {
+	// distinct byte strings would carry the same valid signature.  Here
+	// that means every byte was loaded, fewer than 8 bits are unread, and
+	// the unread bits are zero.
+	if pos != len(data) || nbits >= 8 || acc != 0 {
 		return nil, fmt.Errorf("falcon: non-canonical signature payload")
 	}
 	return out, nil
 }
+
+// errExhausted rejects a payload that ends mid-coefficient.
+var errExhausted = errors.New("falcon: bitstream exhausted")
 
 // Encode serialises a signature: salt ‖ uint16 payload length ‖ payload.
 func (s *Signature) Encode() []byte {

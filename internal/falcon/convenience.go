@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/convolve"
 	"ctgauss/internal/core"
 	"ctgauss/internal/gaussian"
@@ -12,11 +13,6 @@ import (
 	"ctgauss/internal/sampler"
 	"ctgauss/internal/sampler/gen"
 )
-
-// keygenWidth is the evaluation width Keygen samples f and g at.  A
-// fixed width makes a key a function of its seed alone, whatever the
-// host's SIMD backend; 16 is the native width of AVX2 and AVX-512 hosts.
-const keygenWidth = 16
 
 // Keygen generates a key pair for ring degree n, deterministically from
 // seed, using the repo's own bitsliced constant-time sampler for the f, g
@@ -40,7 +36,7 @@ func Keygen(n int, seed []byte) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return GenerateKey(params, art.NewWideSampler(src, keygenWidth))
+	return GenerateKey(params, art.NewWideSampler(src, bitslice.Width))
 }
 
 // BaseSamplerKind selects the Table-1 base sampler variant, or the

@@ -2,16 +2,25 @@ package falcon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // FuzzDecodeSignature checks that signature decoding is canonical:
 // whatever bytes /v1/falcon/verify receives, decoding either fails or
 // returns a signature whose Encode is exactly those bytes, so no two
-// byte strings carry the same signature.  Seeds live in
-// testdata/fuzz/FuzzDecodeSignature.
+// byte strings carry the same signature.  It also holds the payload
+// decoder to decompressCoeffsRef on every input: the same accept or
+// reject and the same coefficients, with the degree taken from the
+// header whether or not the payload length field matches.  Seeds live
+// in testdata/fuzz/FuzzDecodeSignature.
 func FuzzDecodeSignature(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= SaltLen+4 {
+			if n := int(binary.BigEndian.Uint16(data[SaltLen:])); n >= 1 && n <= 1024 {
+				checkAgainstRef(t, data[SaltLen+4:], n)
+			}
+		}
 		sig, err := DecodeSignature(data)
 		if err != nil {
 			return

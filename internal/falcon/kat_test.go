@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
-
-	"ctgauss/internal/sampler"
 )
 
 // katSignerSeed and katMessage fix the signing side of the known-answer
@@ -42,45 +40,36 @@ func katSignatures(t *testing.T, sk *PrivateKey, kind BaseSamplerKind) string {
 // SHA-256 over the encodings of katSigs signatures.  Keys, BaseBitsliced
 // and the three CDT kinds are the same on every host.  The CDT kinds
 // read identical randomness through identical tables, so they sign
-// identically.  BaseConvolve draws its base stream at the native width,
-// so its pin is per sampler.NativeWidth().
+// identically.  BaseConvolve draws its base stream at bitslice.Width,
+// the one interpreted width, so its pin is host-independent too.
 func TestKnownAnswers(t *testing.T) {
 	for _, kat := range []struct {
 		n         int
 		key       string
 		bitsliced string
 		cdt       string
-		convolve  map[int]string // by sampler.NativeWidth()
+		convolve  string
 	}{
 		{
 			n:         256,
 			key:       "2a77efeb3d7091428ab9f2d284e8824d51a67a09caa225db58d3e2faf94ebcc2",
 			bitsliced: "bf5f41126216238b1a4302b3fca016cef794f277627903d53bda60e696f95840",
 			cdt:       "df375b1f1d3cda747c72cf0480d412dc655cc07bab5535b5a36dec70dc4b6d61",
-			convolve: map[int]string{
-				8:  "11fc3062cf8c295be76a57ab97ccee2a9a9d7c7e52de8c8c96bd8a339c2c8591",
-				16: "5cb4d40dc6c828641dcad89ca9adb94c2dd343f98d7ba32c185a96f3802c5c70",
-			},
+			convolve:  "5cb4d40dc6c828641dcad89ca9adb94c2dd343f98d7ba32c185a96f3802c5c70",
 		},
 		{
 			n:         512,
 			key:       "153d2d0b3a20107f7f0631be5c2415d5b3f2eb36adcf9d2ff82ddf1c68051f34",
 			bitsliced: "4f53a7cf4c58aa7cf9609c75bc8eb40c4cd9b4efc91cf9c59c4d7480bc4808d5",
 			cdt:       "94e867fa246898fb010dfa40af13f81597d7d7f4fa3af24d47b2a006c43c2374",
-			convolve: map[int]string{
-				8:  "5b789e124a62ce0b7b1f74e6f097f50ec6fee76f413a139cb64342ea0c2670c9",
-				16: "9bb85ed59c43671f6aa88e346a1baa1b917e1227540e4ea0abdf09eb7f3895b0",
-			},
+			convolve:  "9bb85ed59c43671f6aa88e346a1baa1b917e1227540e4ea0abdf09eb7f3895b0",
 		},
 		{
 			n:         1024,
 			key:       "9b222d20703fbfc5d7ace6da4dc815b6e207ffc2d6295144eab89adb64a3f9a3",
 			bitsliced: "cfdfd3f4e4b4aa6a6d42c47b43511d593d2fe5603a2a592b03ffd0801ad5e24d",
 			cdt:       "5824482a6dcbdd0c6c8ffca591d65eef18472bb8b4e28fe386a883d11b4938a9",
-			convolve: map[int]string{
-				8:  "9d4e0b55901b42a93a10003af73766817637f8df20176e5d3847f405e3a24548",
-				16: "316abb732cf3f8ba49f6a62a5652fb076c14d2e786153cc6fd1c51d6e701f49f",
-			},
+			convolve:  "316abb732cf3f8ba49f6a62a5652fb076c14d2e786153cc6fd1c51d6e701f49f",
 		},
 	} {
 		t.Run(fmt.Sprintf("N%d", kat.n), func(t *testing.T) {
@@ -99,13 +88,8 @@ func TestKnownAnswers(t *testing.T) {
 					t.Errorf("%v: signatures digest %s, want %s", kind, got, kat.cdt)
 				}
 			}
-			w := sampler.NativeWidth()
-			want, ok := kat.convolve[w]
-			if !ok {
-				t.Fatalf("%v: no pin for native width %d", BaseConvolve, w)
-			}
-			if got := katSignatures(t, sk, BaseConvolve); got != want {
-				t.Errorf("%v at width %d: signatures digest %s, want %s", BaseConvolve, w, got, want)
+			if got := katSignatures(t, sk, BaseConvolve); got != kat.convolve {
+				t.Errorf("%v: signatures digest %s, want %s", BaseConvolve, got, kat.convolve)
 			}
 		})
 	}

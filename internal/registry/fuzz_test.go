@@ -39,7 +39,7 @@ func FuzzLoadDisk(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		o := art.Optimized()
-		for _, w := range []int{1, 8} {
+		for _, w := range []int{1, bitslice.Width} {
 			in := make([]uint64, p.NumInputs*w)
 			for i := range in {
 				in[i] = rng.Uint64()
@@ -48,7 +48,7 @@ func FuzzLoadDisk(f *testing.F) {
 			o.RunWideInto(w, in, o.NewSlots(w), out)
 			checkBlocks(t, p, w, in, out)
 		}
-		art.NewWideSampler(prng.MustChaCha20([]byte("fuzz")), 8).NextBatch(make([]int, 64))
+		art.NewWideSampler(prng.MustChaCha20([]byte("fuzz")), bitslice.Width).NextBatch(make([]int, 64))
 	})
 }
 

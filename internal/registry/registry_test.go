@@ -8,16 +8,16 @@ import (
 	"sync"
 	"testing"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/prng"
-	"ctgauss/internal/sampler"
 )
 
 var testCfg = core.Config{Sigma: "2", N: 48, TailCut: 13, Min: core.MinimizeExact}
 
 func drain(t *testing.T, a *Artifact, n int) []int {
 	t.Helper()
-	s := a.NewWideSampler(prng.MustChaCha20([]byte("reg-test")), sampler.NativeWidth())
+	s := a.NewWideSampler(prng.MustChaCha20([]byte("reg-test")), bitslice.Width)
 	out := make([]int, n)
 	for i := range out {
 		out[i] = s.Next()

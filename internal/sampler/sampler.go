@@ -10,7 +10,9 @@
 // distribution (p₀ = D(0), p_v = 2·D(v)), and an independent sign bit maps
 // v to ±v, which reproduces D_σ exactly because ±0 coincide.
 //
-// NewEngine shards bitsliced samplers onto the refill engine
+// Bitsliced samplers evaluate at width 1 or bitslice.Width, both
+// constants, so a seed names one stream on every host whatever its SIMD
+// backend.  NewEngine shards bitsliced samplers onto the refill engine
 // (internal/engine); every sharded bitsliced stream is built through it.
 package sampler
 
@@ -19,7 +21,6 @@ import (
 	"math/big"
 
 	"ctgauss/internal/bitslice"
-	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/ddg"
 	"ctgauss/internal/gaussian"
 	"ctgauss/internal/prng"
@@ -108,37 +109,22 @@ func (b *batchBuf) nextBatch(dst []int, refill func()) {
 	}
 }
 
-// DefaultWidth is the portable evaluation width: every circuit
-// evaluation runs each instruction over DefaultWidth contiguous words
-// (DefaultWidth×64 lanes), which amortizes interpreter dispatch and
-// mispredicted branches across the lanes — the dominant cost of width-1
-// interpretation.  Width-dependent callers (golden vectors, stream
-// comparisons) pin this; throughput paths should use NativeWidth, which
-// widens with the active SIMD backend.
-const DefaultWidth = 8
-
-// NativeWidth returns the evaluation width the active SIMD backend is
-// most efficient at (8 portable, 16 AVX2/AVX-512).  Throughput callers
-// pass it as their sampler width; the randomness stream layout depends
-// on the width (W-batch blocks), so fixed-stream consumers pass a
-// constant such as DefaultWidth instead.
-func NativeWidth() int { return dispatch.Active().NativeWidth() }
-
 // Bitsliced is the paper's constant-time sampler: a straight-line
 // circuit evaluated on W×64 lanes of packed random bits per pass, with
 // each 64-lane block unpacked through one 64×64 bit-matrix transpose.
 // The pass is either the register-allocated interpreter
 // (Optimized.RunWideInto: dense slot file, fused dispatch, SIMD kernels
-// at widths 8 and 16) at any width, or a circuit compiled to Go by the
-// generator tool at width 1 (NewCompiled).
+// where the host has them) at width 1 or bitslice.Width, or a circuit
+// compiled to Go by the generator tool at width 1 (NewCompiled).
 //
 // Randomness is consumed in W-batch blocks: NumInputs×W input words
 // (input-major) followed by W sign words.  At width 1 this is exactly the
 // draw order of the original per-batch interpreter, so a width-1 sampler
 // is stream-compatible with the reference implementation, and the
-// interpreted and generated forms of one circuit draw the same stream;
-// wider samplers trade stream layout for throughput (the per-sample
-// distribution is identical at any width).
+// interpreted and generated forms of one circuit draw the same stream.
+// The wide layout at bitslice.Width trades that order for throughput (the
+// per-sample distribution is identical at either width); since the width
+// is a constant, a stream is a function of its seed alone on every host.
 type Bitsliced struct {
 	pass  func(in, out []uint64) // one evaluation over W×64 lanes
 	rd    *prng.BitReader
@@ -166,11 +152,11 @@ func newBitsliced(name string, src prng.Source, w, numInputs, valueBits int, pas
 }
 
 // NewBitslicedWidth wraps an optimized circuit with an explicit
-// evaluation width w ≥ 1 (1 = the reference stream layout, 8 or 16 =
-// the SIMD kernel widths, 512 or 1024 lanes per pass).
+// evaluation width: 1 (the reference stream layout, 64 lanes per pass)
+// or bitslice.Width (1024 lanes per pass).  Any other width panics.
 func NewBitslicedWidth(name string, opt *bitslice.Optimized, src prng.Source, w int) *Bitsliced {
-	if w < 1 {
-		panic(fmt.Sprintf("sampler: width %d < 1", w))
+	if w != 1 && w != bitslice.Width {
+		panic(fmt.Sprintf("sampler: width %d unsupported: samplers run at width 1 or %d", w, bitslice.Width))
 	}
 	slots := opt.NewSlots(w) // NumSlots×W, slot-major
 	return newBitsliced(name, src, w, opt.NumInputs, len(opt.Outputs),

@@ -3,6 +3,7 @@ package sampler
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ctgauss/internal/bitslice"
@@ -259,15 +260,15 @@ func TestBitslicedMatchesReferenceInterpreter(t *testing.T) {
 	}
 }
 
-// TestWidthsAgreeOnDistribution: every width draws from the same
-// distribution — same multiset statistics over a long run (widths change
-// the stream layout, never the per-sample law).
+// TestWidthsAgreeOnDistribution: both widths draw from the same
+// distribution — same multiset statistics over a long run (the width
+// changes the stream layout, never the per-sample law).
 func TestWidthsAgreeOnDistribution(t *testing.T) {
 	prog := randTestProgram(99)
 	opt := bitslice.Optimize(prog)
 	const n = 64 * 256
 	counts := make(map[int]map[int]float64)
-	for _, w := range []int{1, 4, 8} {
+	for _, w := range []int{1, bitslice.Width} {
 		s := NewBitslicedWidth("w", opt, prng.MustChaCha20([]byte("dist")), w)
 		c := make(map[int]float64)
 		for i := 0; i < n; i++ {
@@ -275,12 +276,10 @@ func TestWidthsAgreeOnDistribution(t *testing.T) {
 		}
 		counts[w] = c
 	}
-	for _, w := range []int{4, 8} {
-		for v, f1 := range counts[1] {
-			fw := counts[w][v]
-			if diff := (f1 - fw) / n; diff > 0.05 || diff < -0.05 {
-				t.Errorf("w=%d: P(%d) deviates: %v vs %v", w, v, f1/n, fw/n)
-			}
+	for v, f1 := range counts[1] {
+		fw := counts[bitslice.Width][v]
+		if diff := (f1 - fw) / n; diff > 0.05 || diff < -0.05 {
+			t.Errorf("w=%d: P(%d) deviates: %v vs %v", bitslice.Width, v, f1/n, fw/n)
 		}
 	}
 }
@@ -290,7 +289,7 @@ func TestWidthsAgreeOnDistribution(t *testing.T) {
 func TestWideBatchAccounting(t *testing.T) {
 	prog := randTestProgram(7)
 	opt := bitslice.Optimize(prog)
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{1, bitslice.Width} {
 		s := NewBitslicedWidth("w", opt, prng.MustChaCha20([]byte("acct")), w)
 		s.Next()
 		wantBits := uint64(opt.NumInputs*w+w) * 64
@@ -308,6 +307,24 @@ func TestWideBatchAccounting(t *testing.T) {
 		if s.BitsUsed() != wantBits {
 			t.Fatalf("w=%d: drew bits before the buffer drained", w)
 		}
+	}
+}
+
+// TestUnsupportedWidthPanics pins the one-width contract: a sampler is
+// built at width 1 or bitslice.Width, and any other width fails at
+// construction rather than on the first refill.
+func TestUnsupportedWidthPanics(t *testing.T) {
+	opt := bitslice.Optimize(randTestProgram(3))
+	for _, w := range []int{0, 2, 8, 32} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "width 1 or 16") {
+					t.Errorf("w=%d: panic %q, want one naming widths 1 and 16", w, msg)
+				}
+			}()
+			NewBitslicedWidth("w", opt, prng.MustChaCha20([]byte("bad")), w)
+		}()
 	}
 }
 
@@ -348,16 +365,13 @@ func TestNextBatchDrainsBuffered(t *testing.T) {
 		make func() BatchSampler
 	}{
 		{"bitsliced", func() BatchSampler {
-			return NewBitslicedWidth("t", bitslice.Optimize(prog), prng.MustChaCha20([]byte("drain")), NativeWidth())
+			return NewBitslicedWidth("t", bitslice.Optimize(prog), prng.MustChaCha20([]byte("drain")), bitslice.Width)
 		}},
 		{"compiled", func() BatchSampler {
 			return NewCompiled("t", fn, 1, 1, prng.MustChaCha20([]byte("drain")))
 		}},
 		{"bitsliced-w1", func() BatchSampler {
 			return NewBitslicedWidth("t", bitslice.Optimize(prog), prng.MustChaCha20([]byte("drain")), 1)
-		}},
-		{"bitsliced-w4", func() BatchSampler {
-			return NewBitslicedWidth("t", bitslice.Optimize(prog), prng.MustChaCha20([]byte("drain")), 4)
 		}},
 	} {
 		t.Run(mk.name, func(t *testing.T) {

@@ -270,7 +270,7 @@ func TestBuildInfoExposed(t *testing.T) {
 	if h.Build.Version != b.Version || h.Build.GoVersion != b.GoVersion {
 		t.Fatalf("healthz build block %+v does not match obs.Build() %+v", h.Build, b)
 	}
-	if want := dispatch.Snapshot(); h.Simd.Backend != want.Backend || h.Simd.Width != want.Width {
+	if want := dispatch.Snapshot(); h.Simd.Backend != want.Backend {
 		t.Fatalf("healthz simd block %+v does not match dispatch.Snapshot() %+v", h.Simd, want)
 	}
 	if len(h.Simd.Available) == 0 || h.Simd.Available[0] != "portable" {

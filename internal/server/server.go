@@ -839,9 +839,10 @@ type healthResponse struct {
 	// histograms) is enabled on this server.
 	Trace bool `json:"trace"`
 	// Simd is the circuit evaluation backend: which kernel set executes
-	// the bitsliced op stream (portable/avx2/avx512), its native
-	// evaluation width, the backends this CPU supports, and any
-	// CTGAUSS_SIMD override (plus why it was not honored, if so).
+	// the bitsliced op stream (portable/avx2/avx512), the backends this
+	// CPU supports, and any CTGAUSS_SIMD override (plus why it was not
+	// honored, if so).  Every backend evaluates at one width, so it
+	// never changes a stream.
 	Simd dispatch.Info `json:"simd"`
 	// PRNG is the generator this replica's sampling streams run on (σ
 	// pools, arbitrary layer, tier pools): Config.PRNG, or

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
 	"ctgauss/internal/engine"
 	"ctgauss/internal/prng"
@@ -109,12 +110,11 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 	// Only trust the generated circuit when its shape matches the freshly
 	// built program (it is regenerated by `go generate`, not per build).
 	useCompiled := fn != nil && nin == art.Program.NumInputs && nval == art.Program.ValueBits
-	// Interpreter-backed shards evaluate at the active SIMD backend's
-	// native width (8 portable, 16 AVX2/AVX-512), amortizing dispatch and
-	// the bulk randomness draw across the batches of one refill; each
-	// pool's stream, and its golden pins, is a function of that width,
-	// never of which ISA executes it.
-	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: sampler.NativeWidth()}
+	// Interpreter-backed shards evaluate at bitslice.Width, amortizing
+	// dispatch and the bulk randomness draw across the batches of one
+	// refill; the width is a constant, so each pool's stream is a
+	// function of its seed alone, never of which ISA executes it.
+	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: bitslice.Width}
 	if useCompiled {
 		p.width = 1
 	}
