@@ -116,14 +116,10 @@ func (a *Arbitrary) BitsUsed() uint64 { return a.inner.BitsUsed() }
 // Bounds returns the admissible σ range.
 func (a *Arbitrary) Bounds() (min, max float64) { return a.inner.Bounds() }
 
-// Health snapshots the per-shard fault-isolation state, merged across
-// the base engines (a shard is poisoned if any base member's stream on
-// it is poisoned).
+// Health snapshots the per-shard state, merged across the base engines:
+// a shard is poisoned if any base member's stream on it is poisoned, and
+// its counts and buffered refills sum over the members.
 func (a *Arbitrary) Health() []ShardHealth { return a.inner.Health() }
-
-// RingStats snapshots per-shard ring occupancy, merged (summed) across
-// the base engines that feed each shard's draws.
-func (a *Arbitrary) RingStats() []RingStat { return a.inner.Rings() }
 
 // Degraded reports whether any shard of the base engines is poisoned.
 // The serving layer sheds free-form load — and the tier controller

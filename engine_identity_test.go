@@ -177,7 +177,7 @@ func TestLifecycleClosesGoroutines(t *testing.T) {
 	if err := p.NextBatch(make([]int, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if es := p.EngineStats(); !es.Async || es.Prefetch != ctgauss.DefaultPrefetch {
+	if es := p.EngineStats(); es.Prefetch != ctgauss.DefaultPrefetch {
 		t.Fatalf("default pool engine not async at default depth: %+v", es)
 	}
 	arb, err := ctgauss.NewArbitrary(ctgauss.ArbitraryConfig{
@@ -218,7 +218,7 @@ func TestLifecycleClosesGoroutines(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("sync pool started goroutines: %d > %d", g, before)
 	}
-	if es := ps.EngineStats(); es.Async || es.PrefetchMisses == 0 {
+	if es := ps.EngineStats(); es.Prefetch > 0 || es.PrefetchMisses == 0 {
 		t.Fatalf("sync pool engine stats: %+v", es)
 	}
 	ps.Close()

@@ -17,8 +17,9 @@
 // Signer is not safe for concurrent use, since signing mutates the
 // workspace and the base sampler and salt PRNG streams.  For serving,
 // NewSignerPool shards independent signers over one key
-// (domain-separated seeds, round-robin dispatch — the signing analogue
-// of ctgauss.Pool):
+// (domain-separated seeds; idle signers wait in a free list, so a
+// request takes whichever signer is idle, and sequential requests visit
+// them round-robin):
 //
 //	pool, _ := falcon.NewSignerPool(sk, falcon.BaseBitsliced, seed, 8)
 //	sig, _ := pool.Sign(msg)          // safe from any goroutine

@@ -62,7 +62,8 @@ func NewSigner(sk *PrivateKey, kind BaseSamplerKind, seed []byte) (*Signer, erro
 // NewSignerPool builds a concurrency-safe pool of parallelism signer
 // shards over sk (0 = one per CPU).  Shard seeds derive from seed with
 // domain separation, so one master seed yields independent signing
-// streams; Sign round-robins across shards and Verify is stateless.
+// streams; Sign takes whichever signer is idle (sequential calls visit
+// them round-robin) and Verify is stateless.
 // Close gates the pool at drain time: later Sign calls fail with
 // ErrPoolClosed.
 func NewSignerPool(sk *PrivateKey, kind BaseSamplerKind, seed []byte, parallelism int) (*SignerPool, error) {

@@ -117,17 +117,6 @@ func choose(override string, detected []Backend) (Backend, string) {
 // returns the SIMD backends the CPU and OS support, best last.
 // Portable is never included — it is implicit.
 
-// best returns the highest-preference available backend.
-func best() Backend {
-	b := Portable
-	for _, d := range detected {
-		if d > b {
-			b = d
-		}
-	}
-	return b
-}
-
 // available reports whether b has kernel support on this CPU.
 func available(b Backend) bool {
 	if b == Portable {

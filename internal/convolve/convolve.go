@@ -146,8 +146,8 @@ type Sampler struct {
 	maxSigma   float64   // widest admissible σ (see New)
 	menu       []*recipe // admissible ladder recipes, sorted by width
 	shards     []*shard
-	engines    []*engine.Engine[int] // one per base member
-	baseBits   []uint64              // random bits per refill, per base member
+	engines    []*engine.Engine // one per base member
+	baseBits   []uint64         // random bits per refill, per base member
 	ctr        atomic.Uint64
 
 	trials   atomic.Uint64
@@ -200,7 +200,7 @@ func New(cfg Config) (*Sampler, error) {
 	// bitslice.Width evaluation (Width×64 lanes) at a time ahead of
 	// demand.
 	depth := engine.DepthFor(cfg.Prefetch)
-	s.engines = make([]*engine.Engine[int], len(members))
+	s.engines = make([]*engine.Engine, len(members))
 	s.baseBits = make([]uint64, len(members))
 	for bi, art := range members {
 		s.baseBits[bi] = uint64(art.Program.NumInputs+1) * 64 * bitslice.Width
@@ -389,11 +389,10 @@ func (s *Sampler) tryBlock(ctx context.Context, si int, p *plan, r float64, off 
 	return n, nil
 }
 
-// pick selects the next shard round-robin.  Unlike ctgauss.Pool's
-// striped picker, this stays a single deterministic counter: the HTTP
-// bit-identity acceptance test reconstructs the served stream with a
-// local sampler, which requires sequential requests to visit shards in
-// a reproducible order.
+// pick selects the next shard round-robin with one atomic counter, as
+// ctgauss.Pool does: the HTTP bit-identity acceptance test reconstructs
+// the served stream with a local sampler, which requires sequential
+// requests to visit shards in a reproducible order.
 func (s *Sampler) pick() int {
 	return int(s.ctr.Add(1) % uint64(len(s.shards)))
 }
@@ -498,11 +497,11 @@ func (s *Sampler) Stats() Stats {
 // Bounds returns the admissible σ range.
 func (s *Sampler) Bounds() (min, max float64) { return DefaultMinSigma, s.maxSigma }
 
-// Health merges the per-shard fault-isolation state across the base
-// engines: shard i is poisoned (or dead) if it is poisoned (dead) in any
-// member's engine — a trial block needs every term's base stream, so one
-// poisoned member makes the whole shard unusable for draws.  Restart and
-// discard counts sum across members.
+// Health merges the per-shard state across the base engines: shard i is
+// poisoned (or dead) if it is poisoned (dead) in any member's engine — a
+// trial block needs every term's base stream, so one poisoned member
+// makes the whole shard unusable for draws.  Restart, discard and
+// buffered-refill counts sum across members.
 func (s *Sampler) Health() []engine.ShardHealth {
 	merged := make([]engine.ShardHealth, len(s.shards))
 	for _, e := range s.engines {
@@ -511,21 +510,7 @@ func (s *Sampler) Health() []engine.ShardHealth {
 			merged[i].Dead = merged[i].Dead || h.Dead
 			merged[i].Restarts += h.Restarts
 			merged[i].DiscardedRefills += h.DiscardedRefills
-		}
-	}
-	return merged
-}
-
-// Rings merges per-shard ring occupancy across the base engines:
-// buffered refills, adaptive targets, and depths sum over members
-// (shard i's figures cover every base stream that feeds its draws).
-func (s *Sampler) Rings() []engine.RingStat {
-	merged := make([]engine.RingStat, len(s.shards))
-	for _, e := range s.engines {
-		for i, rs := range e.Rings() {
-			merged[i].Buffered += rs.Buffered
-			merged[i].Target += rs.Target
-			merged[i].Depth += rs.Depth
+			merged[i].Buffered += h.Buffered
 		}
 	}
 	return merged

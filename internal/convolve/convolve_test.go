@@ -218,7 +218,7 @@ func TestTrialWorkIsConstant(t *testing.T) {
 		perBase[term.Base] += s.trials.Load()
 	}
 	for bi, want := range perBase {
-		if got := s.engines[bi].Ledger().ItemsConsumed; got != want {
+		if got := s.engines[bi].Ledger().SamplesServed; got != want {
 			t.Fatalf("base %d popped %d samples for %d trials × %d terms (want %d)",
 				bi, got, s.trials.Load(), len(p.Terms), want)
 		}

@@ -31,7 +31,7 @@ func (c *chaosFill) reset(s int) { c.next[s] = 0 }
 // takeUntilHealthy retries TakeFrom through the transient
 // ErrShardPoisoned window until the shard serves (or the deadline
 // expires); any other error fails the test.
-func takeUntilHealthy(t *testing.T, e *Engine[int], shard int, dst []int) {
+func takeUntilHealthy(t *testing.T, e *Engine, shard int, dst []int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -57,11 +57,7 @@ func takeUntilHealthy(t *testing.T, e *Engine[int], shard int, dst []int) {
 func TestChaosAsyncPanicRecovers(t *testing.T) {
 	defer faultinject.Arm(faultinject.EngineFillPanic, faultinject.Fault{Shard: 0, Count: 1})()
 	cf := &chaosFill{next: make([]int, 1)}
-	e := New(Config{
-		Shards: 1, SlotSize: 8, Depth: 2,
-		RestartBackoff: 100 * time.Microsecond, RestartBackoffMax: time.Millisecond,
-		Reset: cf.reset,
-	}, cf.fill)
+	e := New(Config{Shards: 1, SlotSize: 8, Depth: 2, Reset: cf.reset}, cf.fill)
 	defer e.Close()
 
 	dst := make([]int, 16)
@@ -120,11 +116,7 @@ func TestChaosDeadShardFailsFastOthersServe(t *testing.T) {
 	before := runtime.NumGoroutine()
 	defer faultinject.Arm(faultinject.EngineFillPanic, faultinject.Fault{Shard: 0})()
 	cf := &chaosFill{next: make([]int, 2)}
-	e := New(Config{
-		Shards: 2, SlotSize: 8, Depth: 2, MaxRestarts: 2,
-		RestartBackoff: 100 * time.Microsecond, RestartBackoffMax: time.Millisecond,
-		Reset: cf.reset,
-	}, cf.fill)
+	e := New(Config{Shards: 2, SlotSize: 8, Depth: 2, Reset: cf.reset}, cf.fill)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for !e.Health()[0].Dead {
@@ -146,8 +138,9 @@ func TestChaosDeadShardFailsFastOthersServe(t *testing.T) {
 		}
 	}
 	h := e.Health()[0]
-	// failures 1, 2, 3 — the third exceeds MaxRestarts=2 and kills it.
-	if !h.Poisoned || !h.Dead || h.Restarts != 3 || h.DiscardedRefills != 3 {
+	// failures 1, …, maxRestarts+1 — the last exceeds the budget and
+	// kills it.
+	if !h.Poisoned || !h.Dead || h.Restarts != maxRestarts+1 || h.DiscardedRefills != maxRestarts+1 {
 		t.Fatalf("dead shard health: %+v", h)
 	}
 	if l := e.Ledger(); l.ShardsPoisoned != 1 {

@@ -1,7 +1,6 @@
-// Package engine is the unified asynchronous refill runtime under every
-// sharded serving surface in this repo: ctgauss.Pool (and with it every
-// ctgaussd σ pool), ctgauss.Arbitrary (the convolution layer's base
-// draws), and falcon.SignerPool.
+// Package engine is the asynchronous refill runtime under every sharded
+// sample stream in this repo: ctgauss.Pool (and with it every ctgaussd σ
+// pool) and ctgauss.Arbitrary (the convolution layer's base draws).
 //
 // The paper's speed claim rests on keeping the bitsliced lanes full — a
 // circuit evaluation amortizes only when all W×64 lanes of a refill are
@@ -23,10 +22,10 @@
 //     synchronous path — each ring is filled in stream order by a single
 //     producer — which is what keeps the golden-stream and served-sample
 //     bit-identity tests passing unchanged.
-//   - Prefetch depth adapts to the drain rate: the producer's target
-//     starts at one refill ahead, doubles (up to Depth) whenever a
-//     consumer had to wait, and decays after a long streak of waitless
-//     takes, so an idle pool stops burning randomness and CPU.
+//   - The lookahead is fixed: each producer keeps its ring Depth refills
+//     ahead of consumption and parks once the ring is full, so an idle
+//     pool holds at most Depth refills per shard and then stops burning
+//     randomness and CPU.
 //   - A single Ledger replaces the scattered BitsUsed/Stats/batches
 //     accounting.  RefillsStarted counts refills whose consumption began,
 //     which is exactly when the synchronous path would have evaluated
@@ -43,11 +42,11 @@
 // published, so consumers cannot observe torn data), marks the shard
 // poisoned, and wakes every waiter; blocked ConsumeFrom calls return
 // ErrShardPoisoned so serving layers can redirect to healthy shards.
-// The producer then restarts with jittered exponential backoff, calling
-// the optional Config.Reset hook first so fill-side per-shard state
-// (sampler cursors, PRNG positions a mid-fill panic may have corrupted)
-// re-syncs at a refill boundary.  Consecutive failures beyond
-// Config.MaxRestarts poison the shard permanently: its producer exits
+// The producer then restarts after a jittered exponential backoff (1 ms
+// doubling to 250 ms), calling the optional Config.Reset hook first so
+// fill-side per-shard state (sampler cursors, PRNG positions a mid-fill
+// panic may have corrupted) re-syncs at a refill boundary.  More than 8
+// consecutive failures poison the shard permanently: its producer exits
 // and ConsumeFrom fails fast with ErrShardPoisoned while the remaining
 // shards keep serving.  Ledger and Health expose restart, discard, and
 // poison counts for /metrics and /healthz.
@@ -96,26 +95,22 @@ func DepthFor(prefetch int) int {
 	}
 }
 
-// decayStreak is the number of consecutive waitless takes after which
-// the adaptive prefetch target steps down by one (never below 1): a
-// consumer that always finds data ready is not draining fast enough to
-// need the current lookahead.
-const decayStreak = 64
+// maxRestarts is the consecutive-failure budget per shard: a fill that
+// panics more often than this in a row (a deterministic bug re-fed the
+// same state by Reset) poisons the shard permanently rather than burning
+// CPU on a hopeless retry loop.
+const maxRestarts = 8
 
-// DefaultMaxRestarts is the consecutive-failure budget per shard when
-// Config.MaxRestarts is 0: a fill that panics this many times in a row
-// (a deterministic bug re-fed the same state by Reset) poisons the
-// shard permanently rather than burning CPU on a hopeless retry loop.
-const DefaultMaxRestarts = 8
-
-// Default restart backoff bounds (Config.RestartBackoff /
-// RestartBackoffMax when zero).  The first restart retries almost
-// immediately — most panics are transient — and the delay doubles with
-// jitter up to the cap so a crash-looping shard stays cheap.
+// Restart backoff bounds.  The first restart retries almost immediately
+// — most panics are transient — and the delay doubles with jitter up to
+// the cap so a crash-looping shard stays cheap.
 const (
-	DefaultRestartBackoff    = time.Millisecond
-	DefaultRestartBackoffMax = 250 * time.Millisecond
+	restartBackoff    = time.Millisecond
+	restartBackoffMax = 250 * time.Millisecond
 )
+
+// ErrClosed is returned by ConsumeFrom and TakeFrom after Close.
+var ErrClosed = errors.New("engine: use after Close")
 
 // ErrShardPoisoned is returned by ConsumeFrom/TakeFrom when the picked
 // shard is poisoned: transiently (its producer is restarting after a
@@ -124,24 +119,24 @@ const (
 // distinguishes the two states.
 var ErrShardPoisoned = errors.New("engine: shard poisoned")
 
-// Fill regenerates one refill: it must write the next len(dst) items of
-// shard s's stream into dst.  For a given shard it is never called
+// Fill regenerates one refill: it must write the next len(dst) samples
+// of shard s's stream into dst.  For a given shard it is never called
 // concurrently with itself — the shard's producer goroutine (or, in
 // synchronous mode, the consumer holding the ring lock) is the only
 // caller — so implementations may keep per-shard state without locking.
-type Fill[T any] func(s int, dst []T)
+type Fill func(s int, dst []int)
 
 // Config sizes an Engine.
 type Config struct {
 	// Shards is the number of independent streams (≥ 1).
 	Shards int
-	// SlotSize is the item count of one refill slot.  Layers above set it
-	// to their natural refill granularity (width×64 samples for a pool
+	// SlotSize is the sample count of one refill slot.  Layers above set
+	// it to their natural refill granularity (width×64 samples for a pool
 	// shard) so RefillsStarted counts circuit evaluations exactly.
 	SlotSize int
-	// Depth is the ring depth: how many completed refills a shard buffers
-	// ahead of demand.  0 = synchronous (no producer goroutines); the
-	// adaptive target never exceeds it.
+	// Depth is the lookahead: how many completed refills a shard's
+	// producer keeps buffered ahead of demand.  0 = synchronous (no
+	// producer goroutines).
 	Depth int
 
 	// Reset, when set, is called after a recovered fill panic and before
@@ -152,25 +147,16 @@ type Config struct {
 	// producer goroutine (async) or under the ring lock (sync) — the same
 	// exclusivity the fill itself enjoys.
 	Reset func(s int)
-	// MaxRestarts is the consecutive-failure budget per shard before it
-	// is poisoned permanently (0 = DefaultMaxRestarts, negative = poison
-	// on the first panic).  A successful refill resets the streak.
-	MaxRestarts int
-	// RestartBackoff and RestartBackoffMax bound the jittered exponential
-	// delay between a recovered panic and the retry (zero values pick
-	// DefaultRestartBackoff / DefaultRestartBackoffMax).
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
 }
 
 // Engine runs Config.Shards independent refill rings over one fill
 // function.  ConsumeFrom is safe for any number of concurrent callers;
 // Close stops the producers and must only run once no consumer can call
 // in again (the server's drain gate enforces this ordering).
-type Engine[T any] struct {
+type Engine struct {
 	cfg   Config
-	fill  Fill[T]
-	rings []*ring[T]
+	fill  Fill
+	rings []*ring
 	wg    sync.WaitGroup
 }
 
@@ -178,17 +164,15 @@ type Engine[T any] struct {
 // slot being filled by the producer (slots[tail%Depth]) is exclusively
 // the producer's while tail−head < Depth, which the produce condition
 // guarantees.
-type ring[T any] struct {
+type ring struct {
 	mu   sync.Mutex
 	more sync.Cond // producer → consumers: a refill completed (or state changed)
-	need sync.Cond // consumers → producer: space or demand appeared
+	need sync.Cond // consumers → producer: a slot was freed
 
-	slots  [][]T
+	slots  [][]int
 	head   uint64 // refills fully consumed
 	tail   uint64 // refills produced
-	cur    int    // items consumed within slots[head%Depth]
-	target int    // adaptive prefetch goal, in [1, Depth]
-	streak int    // consecutive waitless takes (drives target decay)
+	cur    int    // samples consumed within slots[head%Depth]
 	closed bool
 
 	poisoned bool   // a recovered panic's producer is backing off (or dead)
@@ -198,7 +182,7 @@ type ring[T any] struct {
 	discards uint64 // refills discarded by recovered panics
 
 	started  uint64 // refills whose consumption began
-	consumed uint64 // items handed to consumers
+	consumed uint64 // samples handed to consumers
 	hits     uint64 // takes served without waiting for a fill
 	misses   uint64 // takes that waited (async) or filled inline (sync)
 }
@@ -206,7 +190,7 @@ type ring[T any] struct {
 // New builds an engine and, in asynchronous mode, starts one producer
 // goroutine per shard.  Producers begin filling immediately, so a
 // freshly built engine warms its rings before the first request.
-func New[T any](cfg Config, fill Fill[T]) *Engine[T] {
+func New(cfg Config, fill Fill) *Engine {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("engine: %d shards", cfg.Shards))
 	}
@@ -216,24 +200,15 @@ func New[T any](cfg Config, fill Fill[T]) *Engine[T] {
 	if cfg.Depth < 0 {
 		cfg.Depth = 0
 	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = DefaultMaxRestarts
-	}
-	if cfg.RestartBackoff <= 0 {
-		cfg.RestartBackoff = DefaultRestartBackoff
-	}
-	if cfg.RestartBackoffMax <= 0 {
-		cfg.RestartBackoffMax = DefaultRestartBackoffMax
-	}
-	e := &Engine[T]{cfg: cfg, fill: fill, rings: make([]*ring[T], cfg.Shards)}
+	e := &Engine{cfg: cfg, fill: fill, rings: make([]*ring, cfg.Shards)}
 	depth := cfg.Depth
 	if depth == 0 {
 		depth = 1 // one inline slot for the synchronous mode
 	}
 	for i := range e.rings {
-		r := &ring[T]{slots: make([][]T, depth), target: 1}
+		r := &ring{slots: make([][]int, depth)}
 		for j := range r.slots {
-			r.slots[j] = make([]T, cfg.SlotSize)
+			r.slots[j] = make([]int, cfg.SlotSize)
 		}
 		r.more.L = &r.mu
 		r.need.L = &r.mu
@@ -249,18 +224,12 @@ func New[T any](cfg Config, fill Fill[T]) *Engine[T] {
 }
 
 // Shards returns the shard count.
-func (e *Engine[T]) Shards() int { return e.cfg.Shards }
-
-// SlotSize returns the refill granularity in items.
-func (e *Engine[T]) SlotSize() int { return e.cfg.SlotSize }
-
-// Async reports whether background producers are running.
-func (e *Engine[T]) Async() bool { return e.cfg.Depth > 0 }
+func (e *Engine) Shards() int { return e.cfg.Shards }
 
 // runFill executes one fill with the chaos injection points armed-tests
 // use and converts a panic into an error instead of unwinding into the
 // producer loop (or the consumer's stack, in synchronous mode).
-func (e *Engine[T]) runFill(s int, dst []T) (err error) {
+func (e *Engine) runFill(s int, dst []int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if ie, ok := v.(*faultinject.Injected); ok {
@@ -279,47 +248,42 @@ func (e *Engine[T]) runFill(s int, dst []T) (err error) {
 // recordFillFailure accounts one recovered fill panic under the ring
 // lock and reports whether the shard's consecutive-failure budget is now
 // exhausted (the caller then poisons it permanently).
-func (e *Engine[T]) recordFillFailure(r *ring[T]) (dead bool) {
+func recordFillFailure(r *ring) (dead bool) {
 	r.discards++
 	r.restarts++
 	r.failures++
-	return e.cfg.MaxRestarts < 0 || r.failures > e.cfg.MaxRestarts
+	return r.failures > maxRestarts
 }
 
 // backoff returns the jittered exponential delay before restart attempt
-// (1-based): base·2^(attempt−1), halved-to-full jitter, clamped to the
-// configured max.
-func (e *Engine[T]) backoff(attempt int) time.Duration {
-	d := e.cfg.RestartBackoff
-	for i := 1; i < attempt; i++ {
+// (1-based): restartBackoff·2^(attempt−1), halved-to-full jitter, clamped
+// to restartBackoffMax.
+func backoff(attempt int) time.Duration {
+	d := restartBackoff
+	for i := 1; i < attempt && d < restartBackoffMax; i++ {
 		d *= 2
-		if d >= e.cfg.RestartBackoffMax {
-			break
-		}
 	}
-	if d > e.cfg.RestartBackoffMax {
-		d = e.cfg.RestartBackoffMax
-	}
+	d = min(d, restartBackoffMax)
 	// Full jitter in [d/2, d): desynchronizes shards that were poisoned
 	// by one cause (a bad PRNG backend) so their retries don't stampede.
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// producer is shard s's background refiller: it keeps the ring target
-// refills ahead of the consumers and parks when the lookahead is
-// satisfied.  The fill itself runs outside the ring lock, overlapping
-// with consumers draining earlier slots.  A fill panic is recovered
-// here: the partial refill is discarded, the shard marked poisoned and
-// its waiters woken, and the producer restarts after a jittered
-// exponential backoff — or exits, poisoning the shard permanently, once
-// the consecutive-failure budget is spent.
-func (e *Engine[T]) producer(s int) {
+// producer is shard s's background refiller: it keeps the ring Depth
+// refills ahead of the consumers and parks while the ring is full.  The
+// fill itself runs outside the ring lock, overlapping with consumers
+// draining earlier slots.  A fill panic is recovered here: the partial
+// refill is discarded, the shard marked poisoned and its waiters woken,
+// and the producer restarts after a jittered exponential backoff — or
+// exits, poisoning the shard permanently, once the consecutive-failure
+// budget is spent.
+func (e *Engine) producer(s int) {
 	defer e.wg.Done()
 	r := e.rings[s]
 	depth := uint64(len(r.slots))
 	r.mu.Lock()
 	for {
-		for !r.closed && int(r.tail-r.head) >= r.target {
+		for !r.closed && r.tail-r.head >= depth {
 			r.need.Wait()
 		}
 		if r.closed {
@@ -337,7 +301,7 @@ func (e *Engine[T]) producer(s int) {
 			r.more.Broadcast()
 			continue
 		}
-		dead := e.recordFillFailure(r)
+		dead := recordFillFailure(r)
 		r.poisoned = true
 		r.dead = dead
 		attempt := r.failures
@@ -349,7 +313,7 @@ func (e *Engine[T]) producer(s int) {
 			return
 		}
 		r.mu.Unlock()
-		time.Sleep(e.backoff(attempt))
+		time.Sleep(backoff(attempt))
 		if e.cfg.Reset != nil {
 			e.cfg.Reset(s)
 		}
@@ -364,7 +328,7 @@ func (e *Engine[T]) producer(s int) {
 	}
 }
 
-// ConsumeFrom hands fn the next n items of shard s's stream as one or
+// ConsumeFrom hands fn the next n samples of shard s's stream as one or
 // more sub-slices of completed refill slots, in stream order.  fn runs
 // under the ring lock (callers do a bounded amount of work per chunk —
 // a copy or a multiply-accumulate), so concurrent consumers of one
@@ -376,9 +340,9 @@ func (e *Engine[T]) producer(s int) {
 // poisoned (transiently while its producer restarts, or permanently),
 // and ctx.Err() when ctx is cancelled while waiting for a refill.  A
 // nil ctx (or one without a Done channel) never cancels.  On a non-nil
-// error the items already handed to fn are discarded from the stream;
+// error the samples already handed to fn are discarded from the stream;
 // callers must treat their destination buffer as unfilled.
-func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T)) error {
+func (e *Engine) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []int)) error {
 	r := e.rings[s]
 	depth := uint64(len(r.slots))
 	// Tracing hook: one atomic load when observability is off; a
@@ -392,10 +356,10 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	var stopWatch chan struct{}
+	var stopWake func() bool
 	defer func() {
-		if stopWatch != nil {
-			close(stopWatch)
+		if stopWake != nil {
+			stopWake()
 		}
 	}()
 	r.mu.Lock()
@@ -432,7 +396,7 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 				err := e.runFill(s, r.slots[0])
 				tr.End(obs.StageEval, t0)
 				if err != nil {
-					dead := e.recordFillFailure(r)
+					dead := recordFillFailure(r)
 					if dead {
 						r.poisoned, r.dead = true, true
 					}
@@ -447,32 +411,15 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 				waited = true
 			} else {
 				waited = true
-				// Demand outran the lookahead: widen the target so the
-				// producer runs further ahead next time.
-				if t := r.target * 2; t <= e.cfg.Depth {
-					r.target = t
-				} else {
-					r.target = e.cfg.Depth
-				}
-				r.streak = 0
-				r.need.Signal()
-				if done != nil && stopWatch == nil {
-					// more.Wait cannot observe ctx; a watcher goroutine
-					// converts cancellation into a broadcast.  Started
-					// lazily — only calls that actually block pay for it.
-					// done goes in as an argument: a goroutine literal
-					// that captured it would move it to the heap on
-					// every call, blocking or not.
-					stopWatch = make(chan struct{})
-					go func(done <-chan struct{}, stop chan struct{}) {
-						select {
-						case <-done:
-							r.mu.Lock()
-							r.more.Broadcast()
-							r.mu.Unlock()
-						case <-stop:
-						}
-					}(done, stopWatch)
+				if done != nil && stopWake == nil {
+					// more.Wait cannot observe ctx, so cancellation
+					// broadcasts on the ring.  Registered lazily: only
+					// calls that actually block pay for it.
+					stopWake = context.AfterFunc(ctx, func() {
+						r.mu.Lock()
+						r.more.Broadcast()
+						r.mu.Unlock()
+					})
 				}
 				t0 := tr.Now()
 				r.more.Wait()
@@ -486,13 +433,6 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 				r.misses++
 			} else {
 				r.hits++
-				r.streak++
-				if r.streak >= decayStreak {
-					r.streak = 0
-					if r.target > 1 {
-						r.target--
-					}
-				}
 			}
 		}
 		slot := r.slots[r.head%depth]
@@ -517,12 +457,12 @@ func (e *Engine[T]) ConsumeFrom(ctx context.Context, s, n int, fn func(chunk []T
 	return nil
 }
 
-// TakeFrom copies the next len(dst) items of shard s's stream into dst.
-// On a non-nil error dst's contents are undefined and the items already
-// copied are discarded from the stream.
-func (e *Engine[T]) TakeFrom(ctx context.Context, s int, dst []T) error {
+// TakeFrom copies the next len(dst) samples of shard s's stream into
+// dst.  On a non-nil error dst's contents are undefined and the samples
+// already copied are discarded from the stream.
+func (e *Engine) TakeFrom(ctx context.Context, s int, dst []int) error {
 	n := 0
-	return e.ConsumeFrom(ctx, s, len(dst), func(chunk []T) {
+	return e.ConsumeFrom(ctx, s, len(dst), func(chunk []int) {
 		n += copy(dst[n:], chunk)
 	})
 }
@@ -532,7 +472,7 @@ func (e *Engine[T]) TakeFrom(ctx context.Context, s int, dst []T) error {
 // after (or blocked across) Close returns ErrClosed, because silently
 // returning unfilled buffers would corrupt the served stream.  Closing
 // twice is harmless.
-func (e *Engine[T]) Close() {
+func (e *Engine) Close() {
 	for _, r := range e.rings {
 		r.mu.Lock()
 		r.closed = true
@@ -543,7 +483,7 @@ func (e *Engine[T]) Close() {
 	e.wg.Wait()
 }
 
-// ShardHealth is one shard's fault-isolation state.
+// ShardHealth is one shard's fault-isolation and ring-occupancy state.
 type ShardHealth struct {
 	// Poisoned reports the shard is not currently serving new refills:
 	// its producer is backing off after a recovered panic, or Dead.
@@ -557,11 +497,14 @@ type ShardHealth struct {
 	// DiscardedRefills counts refills torn down by recovered panics —
 	// randomness consumed but never served.
 	DiscardedRefills uint64
+	// Buffered is the number of completed refills waiting ahead of
+	// demand: Depth when the producer keeps ahead, 0 under sustained
+	// load when consumers run at refill speed.
+	Buffered int
 }
 
-// Health snapshots every shard's fault-isolation state, indexed by
-// shard.
-func (e *Engine[T]) Health() []ShardHealth {
+// Health snapshots every shard's state, indexed by shard.
+func (e *Engine) Health() []ShardHealth {
 	out := make([]ShardHealth, len(e.rings))
 	for i, r := range e.rings {
 		r.mu.Lock()
@@ -570,33 +513,7 @@ func (e *Engine[T]) Health() []ShardHealth {
 			Dead:             r.dead,
 			Restarts:         r.restarts,
 			DiscardedRefills: r.discards,
-		}
-		r.mu.Unlock()
-	}
-	return out
-}
-
-// RingStat is one shard's prefetch-ring occupancy snapshot: how many
-// completed refills sit buffered ahead of demand, the producer's
-// current adaptive target, and the configured depth.  These feed the
-// ctgaussd_engine_ring_* gauges — buffered ≈ 0 under sustained load
-// means consumers run at refill speed (prefetch misses); buffered near
-// target means the producer keeps ahead.
-type RingStat struct {
-	Buffered int
-	Target   int
-	Depth    int
-}
-
-// Rings snapshots every shard's ring occupancy, indexed by shard.
-func (e *Engine[T]) Rings() []RingStat {
-	out := make([]RingStat, len(e.rings))
-	for i, r := range e.rings {
-		r.mu.Lock()
-		out[i] = RingStat{
-			Buffered: int(r.tail - r.head),
-			Target:   int(r.target),
-			Depth:    e.cfg.Depth,
+			Buffered:         int(r.tail - r.head),
 		}
 		r.mu.Unlock()
 	}
@@ -604,12 +521,13 @@ func (e *Engine[T]) Rings() []RingStat {
 }
 
 // Ledger is the unified refill/consumption accounting, aggregated over
-// all shards.  It replaces the per-layer BitsUsed sums, coalescer batch
-// counters, and laneSource draw ledgers that predate the engine.
+// all shards (ctgauss.EngineStats is this type).  It replaces the
+// per-layer BitsUsed sums, coalescer batch counters, and laneSource draw
+// ledgers that predate the engine.
 type Ledger struct {
-	Shards   int
-	SlotSize int
-	Depth    int // configured ring depth (0 = synchronous)
+	Shards           int
+	SamplesPerRefill int
+	Prefetch         int // configured lookahead depth (0 = synchronous)
 
 	// RefillsProduced counts fills completed, including lookahead not yet
 	// consumed.  RefillsStarted counts refills whose consumption began —
@@ -618,8 +536,8 @@ type Ledger struct {
 	// bits-per-refill) independent of producer lookahead.
 	RefillsProduced uint64
 	RefillsStarted  uint64
-	// ItemsConsumed counts items handed to consumers.
-	ItemsConsumed uint64
+	// SamplesServed counts samples handed to consumers.
+	SamplesServed uint64
 	// PrefetchHits counts takes served without waiting for a fill;
 	// PrefetchMisses counts takes that waited on the producer (async) or
 	// evaluated inline (sync).
@@ -646,13 +564,13 @@ func (l Ledger) HitRatio() float64 {
 }
 
 // Ledger snapshots the aggregate counters.
-func (e *Engine[T]) Ledger() Ledger {
-	l := Ledger{Shards: e.cfg.Shards, SlotSize: e.cfg.SlotSize, Depth: e.cfg.Depth}
+func (e *Engine) Ledger() Ledger {
+	l := Ledger{Shards: e.cfg.Shards, SamplesPerRefill: e.cfg.SlotSize, Prefetch: e.cfg.Depth}
 	for _, r := range e.rings {
 		r.mu.Lock()
 		l.RefillsProduced += r.tail
 		l.RefillsStarted += r.started
-		l.ItemsConsumed += r.consumed
+		l.SamplesServed += r.consumed
 		l.PrefetchHits += r.hits
 		l.PrefetchMisses += r.misses
 		l.ProducerRestarts += r.restarts

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// counterFill is the reference stream: shard s's items are
+// counterFill is the reference stream: shard s's samples are
 // s*1_000_000_000 + 0, 1, 2, ...  Per-shard state needs no lock — the
 // engine guarantees one filler per shard.
-func counterFill(next []int) Fill[int] {
+func counterFill(next []int) Fill {
 	return func(s int, dst []int) {
 		for i := range dst {
 			dst[i] = s*1_000_000_000 + next[s]
@@ -107,8 +107,8 @@ func TestStressManyConsumers(t *testing.T) {
 	}
 
 	l := e.Ledger()
-	if l.ItemsConsumed != wantItems {
-		t.Fatalf("ledger ItemsConsumed = %d, want %d", l.ItemsConsumed, wantItems)
+	if l.SamplesServed != wantItems {
+		t.Fatalf("ledger SamplesServed = %d, want %d", l.SamplesServed, wantItems)
 	}
 	var wantStarted uint64
 	for s := range seen {
@@ -156,6 +156,9 @@ func TestSyncModeLedger(t *testing.T) {
 	if l = e.Ledger(); l.PrefetchHits != 1 || l.RefillsProduced != 3 {
 		t.Fatalf("leftover take: %+v", l)
 	}
+	if r := l.HitRatio(); r != 0.5 {
+		t.Fatalf("one hit and one miss: HitRatio = %v, want 0.5", r)
+	}
 	e.Close()
 }
 
@@ -195,140 +198,47 @@ func TestConsumeAfterCloseErrClosed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTargetGrowsAndDecays exercises both directions of the
-// prefetch policy through the ledger: a fast drain forces misses (the
-// target doubling is internal, but the miss count proves the wait
-// happened), then a long streak of small takes is served hit-only.
-func TestAdaptiveTargetGrowsAndDecays(t *testing.T) {
+// TestLookaheadServesHits pins the fixed lookahead: a drain faster than
+// the fill waits, an idle producer refills its ring to exactly Depth
+// refills and parks, and takes covering those refills are all served
+// without waiting.
+func TestLookaheadServesHits(t *testing.T) {
+	const depth, slot = 4, 256
 	slow := func(s int, dst []int) {
 		time.Sleep(200 * time.Microsecond)
 		for i := range dst {
 			dst[i] = i
 		}
 	}
-	e := New(Config{Shards: 1, SlotSize: 256, Depth: 4}, slow)
+	e := New(Config{Shards: 1, SlotSize: slot, Depth: depth}, slow)
 	defer e.Close()
-	dst := make([]int, 256)
+	dst := make([]int, slot)
 	for i := 0; i < 20; i++ {
 		if err := e.TakeFrom(nil, 0, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l := e.Ledger()
-	if l.PrefetchMisses == 0 {
+	if e.Ledger().PrefetchMisses == 0 {
 		t.Fatal("draining faster than the fill never missed")
 	}
-	// Now idle-drain far below the production rate: after the first
-	// waits, takes are served from lookahead.
-	small := make([]int, 1)
-	for i := 0; i < 3*decayStreak; i++ {
-		time.Sleep(10 * time.Microsecond)
-		if err := e.TakeFrom(nil, 0, small); err != nil {
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Health()[0].Buffered < depth {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle producer buffered %d refills, want %d", e.Health()[0].Buffered, depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := e.Ledger()
+	if ahead := before.RefillsProduced - before.RefillsStarted; ahead != depth {
+		t.Fatalf("producer ran %d refills ahead, want the lookahead %d", ahead, depth)
+	}
+	for i := 0; i < depth; i++ {
+		if err := e.TakeFrom(nil, 0, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l2 := e.Ledger()
-	if l2.PrefetchHits == l.PrefetchHits {
-		t.Fatal("slow drain produced no prefetch hits")
+	after := e.Ledger()
+	if hits, misses := after.PrefetchHits-before.PrefetchHits, after.PrefetchMisses-before.PrefetchMisses; hits != depth || misses != 0 {
+		t.Fatalf("%d takes from a full ring: %d hits, %d misses, want %d hits", depth, hits, misses, depth)
 	}
-	if l2.HitRatio() <= l.HitRatio() {
-		t.Fatalf("hit ratio did not improve under slow drain: %f → %f", l.HitRatio(), l2.HitRatio())
-	}
-}
-
-// TestPickerFirstPickHistorical pins that a fresh picker's first pick
-// is 1 mod n — the pre-striping global round-robin's first value —
-// which keeps single-draw golden streams (ExampleNewPool, a fresh
-// SignerPool's first signature) unchanged.  Later picks are only
-// statistically round-robin: a stripe can retire at any time (sync.Pool
-// semantics; under the race detector Put drops items at random), so the
-// full sequence is deliberately not pinned.
-func TestPickerFirstPickHistorical(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
-		if got := NewPicker(n).Pick(); got != 1%n {
-			t.Fatalf("n=%d: first pick = %d, want %d", n, got, 1%n)
-		}
-	}
-	if NewPicker(1).Pick() != 0 {
-		t.Fatal("single-shard picker must always return 0")
-	}
-	// Every pick stays in range whatever the stripe lifecycle does.
-	p := NewPicker(3)
-	for i := 0; i < 100; i++ {
-		if got := p.Pick(); got < 0 || got > 2 {
-			t.Fatalf("pick %d out of range: %d", i, got)
-		}
-	}
-}
-
-// TestPickerConcurrentInRange hammers one picker from many goroutines:
-// every pick must be a valid index and all shards must be visited.
-func TestPickerConcurrentInRange(t *testing.T) {
-	const n, goroutines, picks = 5, 8, 2000
-	p := NewPicker(n)
-	counts := make([]int64, n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]int64, n)
-			for i := 0; i < picks; i++ {
-				idx := p.Pick()
-				if idx < 0 || idx >= n {
-					t.Errorf("pick out of range: %d", idx)
-					return
-				}
-				local[idx]++
-			}
-			mu.Lock()
-			for i, c := range local {
-				counts[i] += c
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d never picked", i)
-		}
-	}
-}
-
-// TestShardSet covers pick rotation, Each aggregation, and the Close
-// gate.
-func TestShardSet(t *testing.T) {
-	type res struct{ id, uses int }
-	items := []*res{{id: 0}, {id: 1}, {id: 2}}
-	s := NewShardSet(items)
-	if s.Size() != 3 {
-		t.Fatalf("Size = %d", s.Size())
-	}
-	const calls = 30
-	for i := 0; i < calls; i++ {
-		if err := s.Do(func(r *res) error {
-			r.uses++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	s.Each(func(r *res) {
-		if r.uses == 0 {
-			t.Fatalf("shard %d never used in %d calls", r.id, calls)
-		}
-		total += r.uses
-	})
-	if total != calls {
-		t.Fatalf("Each sum = %d, want %d", total, calls)
-	}
-	s.Close()
-	s.Close() // idempotent
-	if err := s.Do(func(*res) error { return nil }); err != ErrClosed {
-		t.Fatalf("Do after Close: %v, want ErrClosed", err)
-	}
-	s.Each(func(*res) {}) // still usable for final ledger reads
 }

@@ -12,28 +12,6 @@ import (
 // magnitude bits, then the high bits in unary (k zeros and a terminating
 // one).
 
-// bitWriter packs bits MSB-first.
-type bitWriter struct {
-	buf []byte
-	n   uint // bits written
-}
-
-func (w *bitWriter) writeBit(b uint) {
-	if w.n%8 == 0 {
-		w.buf = append(w.buf, 0)
-	}
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 0x80 >> (w.n % 8)
-	}
-	w.n++
-}
-
-func (w *bitWriter) writeBits(v uint, width uint) {
-	for i := int(width) - 1; i >= 0; i-- {
-		w.writeBit((v >> uint(i)) & 1)
-	}
-}
-
 // refill tops up a payload reader's 64-bit accumulator a byte at a time
 // from data[pos:], until it holds more than 56 unread bits or data runs
 // out.  acc holds the nbits unread bits left-aligned, every bit below
@@ -48,24 +26,44 @@ func refill(data []byte, pos int, acc uint64, nbits uint) (int, uint64, uint) {
 	return pos, acc, nbits
 }
 
-// compressCoeffs encodes signed coefficients.
+// compressCoeffs encodes signed coefficients into one buffer sized up
+// front.  Bits collect MSB-first in a 64-bit accumulator, left-aligned
+// as in the decoder, and leave it a byte at a time; a unary run's zeros
+// only advance the bit count, since the buffer starts zeroed.
 func compressCoeffs(cs []int16) []byte {
-	var w bitWriter
+	nbits := 0
 	for _, c := range cs {
-		v := int(c)
-		sign := uint(0)
-		if v < 0 {
-			sign = 1
-			v = -v
-		}
-		w.writeBit(sign)
-		w.writeBits(uint(v)&0x7f, 7)
-		for k := v >> 7; k > 0; k-- {
-			w.writeBit(0)
-		}
-		w.writeBit(1)
+		nbits += 9 + abs(int(c))>>7
 	}
-	return w.buf
+	out := make([]byte, (nbits+7)/8)
+	pos, acc, n := 0, uint64(0), uint(0) // at most 8 bits pending between coefficients
+	for _, c := range cs {
+		v, sign := int(c), uint64(0)
+		if v < 0 {
+			v, sign = -v, 0x80
+		}
+		acc |= (sign | uint64(v)&0x7f) << (56 - n)
+		n += 8 + uint(v>>7)
+		for n >= 8 {
+			out[pos] = byte(acc >> 56)
+			pos++
+			acc <<= 8
+			n -= 8
+		}
+		acc |= 1 << (63 - n) // the unary run's terminating one
+		n++
+	}
+	if n > 0 {
+		out[pos] = byte(acc >> 56)
+	}
+	return out
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // decompressCoeffs decodes n signed coefficients.  Each coefficient's

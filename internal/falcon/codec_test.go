@@ -1,6 +1,7 @@
 package falcon
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -20,6 +21,48 @@ func checkAgainstRef(t *testing.T, payload []byte, n int) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("n=%d, %d payload bytes: coefficients differ from the reference", n, len(payload))
 	}
+}
+
+// refBitWriter and compressCoeffsRef are the bit-at-a-time payload
+// encoder that compressCoeffs replaced, kept as its reference.
+type refBitWriter struct {
+	buf []byte
+	n   uint // bits written
+}
+
+func (w *refBitWriter) writeBit(b uint) {
+	if w.n%8 == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	if b != 0 {
+		w.buf[len(w.buf)-1] |= 0x80 >> (w.n % 8)
+	}
+	w.n++
+}
+
+func (w *refBitWriter) writeBits(v uint, width uint) {
+	for i := int(width) - 1; i >= 0; i-- {
+		w.writeBit((v >> uint(i)) & 1)
+	}
+}
+
+func compressCoeffsRef(cs []int16) []byte {
+	var w refBitWriter
+	for _, c := range cs {
+		v := int(c)
+		sign := uint(0)
+		if v < 0 {
+			sign = 1
+			v = -v
+		}
+		w.writeBit(sign)
+		w.writeBits(uint(v)&0x7f, 7)
+		for k := v >> 7; k > 0; k-- {
+			w.writeBit(0)
+		}
+		w.writeBit(1)
+	}
+	return w.buf
 }
 
 // refBitReader and decompressCoeffsRef are the bit-at-a-time payload
@@ -92,11 +135,12 @@ func decompressCoeffsRef(data []byte, n int) ([]int16, error) {
 	return out, nil
 }
 
-// TestDecodeMatchesReference holds decompressCoeffs to the reference on
-// encoded coefficient vectors and on their mutations: every single bit
-// flipped, every truncation, and appended zero and nonzero bytes.  The
-// vectors mix Falcon-sized coefficients with the edge magnitudes of the
-// unary field (127, 128, 32767 and the 256-zero run just past it).
+// TestDecodeMatchesReference holds compressCoeffs and decompressCoeffs
+// to their references on coefficient vectors, and the decoder also on
+// the encodings' mutations: every single bit flipped, every truncation,
+// and appended zero and nonzero bytes.  The vectors mix Falcon-sized
+// coefficients with the edge magnitudes of the unary field (127, 128,
+// 32767 and the 256-zero run just past it).
 func TestDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
@@ -113,6 +157,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 			}
 		}
 		enc := compressCoeffs(cs)
+		if ref := compressCoeffsRef(cs); !bytes.Equal(enc, ref) {
+			t.Fatalf("trial %d: encoder output differs from the reference", trial)
+		}
 		checkAgainstRef(t, enc, n)
 		for bit := 0; bit < len(enc)*8; bit++ {
 			m := slices.Clone(enc)
@@ -129,6 +176,73 @@ func TestDecodeMatchesReference(t *testing.T) {
 	// A unary run of exactly 256 zeros is one past the longest legal one.
 	run := append([]byte{0x00}, make([]byte, 32)...)
 	checkAgainstRef(t, append(run, 0x80), 1)
+}
+
+// TestEncodeMatchesReference requires byte identity with the reference
+// encoder on random coefficients across the encodable range
+// [−32767, 32767] (uniform, so most runs are long), on every single
+// coefficient value, and on empty input.
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		cs := make([]int16, rng.Intn(600))
+		for i := range cs {
+			cs[i] = int16(rng.Intn(65535) - 32767)
+		}
+		if got, want := compressCoeffs(cs), compressCoeffsRef(cs); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (%d coefficients): encoder output differs from the reference", trial, len(cs))
+		}
+	}
+	for v := -32767; v <= 32767; v++ {
+		cs := []int16{int16(v)}
+		if got, want := compressCoeffs(cs), compressCoeffsRef(cs); !bytes.Equal(got, want) {
+			t.Fatalf("coefficient %d: encoded %x, reference %x", v, got, want)
+		}
+	}
+	if got := compressCoeffs(nil); len(got) != 0 {
+		t.Fatalf("empty input encoded to %x", got)
+	}
+}
+
+// TestEncodeAllocs pins the encoder to its one up-front buffer, and
+// Signature.Encode to that plus the output it returns.
+func TestEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	rng := rand.New(rand.NewSource(4))
+	sig := &Signature{Salt: make([]byte, SaltLen), S1: make([]int16, 512)}
+	for i := range sig.S1 {
+		sig.S1[i] = int16(rng.NormFloat64() * 165)
+	}
+	if a := testing.AllocsPerRun(16, func() { compressCoeffs(sig.S1) }); a != 1 {
+		t.Errorf("compressCoeffs: %v allocations, want 1", a)
+	}
+	if a := testing.AllocsPerRun(16, func() { sig.Encode() }); a > 2 {
+		t.Errorf("Signature.Encode: %v allocations, want at most 2", a)
+	}
+}
+
+// BenchmarkEncodeSignature encodes one Falcon-512-sized payload — 512
+// coefficients drawn with σ = 165, about s1's spread at that degree —
+// with the accumulator encoder and with the bit-at-a-time reference.
+func BenchmarkEncodeSignature(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	cs := make([]int16, 512)
+	for i := range cs {
+		cs[i] = int16(rng.NormFloat64() * 165)
+	}
+	for _, enc := range []struct {
+		name string
+		fn   func([]int16) []byte
+	}{{"encoder", compressCoeffs}, {"reference", compressCoeffsRef}} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc.fn(cs)
+			}
+		})
+	}
 }
 
 // BenchmarkDecodeSignature decodes one Falcon-512-sized payload — 512

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"runtime"
+	"sync/atomic"
 
 	"ctgauss/internal/engine"
 )
@@ -12,15 +13,16 @@ import (
 // SignerPool is the concurrent serving form of Signer: a fixed set of
 // shards over one private key, each an independent Signer with its own
 // domain-separated PRNG streams (base sampler and salt).  Sign is safe
-// for any number of concurrent callers; requests spread across shards
-// through the engine runtime's striped round-robin pick, so with at
-// least as many shards as active goroutines they rarely contend.
-// Verify needs no signer state and never blocks on one.
+// for any number of concurrent callers.  Idle signers wait in a free
+// list, so a request takes whichever signer is idle and waits only when
+// every one is busy.  Verify needs no signer state and never blocks on
+// one.
 //
-// The shard machinery is engine.ShardSet — the same runtime that backs
-// ctgauss.Pool's refill rings — rather than a hand-rolled mutex/counter
-// copy.  Shard i's seed is derived from the pool seed by hashing with a
-// fixed domain-separation label and the shard index, so one master seed
+// The free list is first-in first-out and starts at shard 1, so
+// sequential Sign calls visit the shards round-robin (1, 2, …, n−1, 0,
+// 1, …) and a fresh pool's signatures are a function of its seed.
+// Shard i's seed is derived from the pool seed by hashing with a fixed
+// domain-separation label and the shard index, so one master seed
 // yields independent signing streams — in particular, independent
 // salts, which keeps concurrent signatures over one key distinct.
 //
@@ -29,8 +31,10 @@ import (
 // nothing else; it exists so serving layers can fence signing at drain
 // time with the same lifecycle call the sampling pools use.
 type SignerPool struct {
-	pk     *PublicKey
-	shards *engine.ShardSet[*Signer]
+	pk       *PublicKey
+	free     chan *Signer // idle signers; capacity = shard count
+	closed   atomic.Bool
+	attempts atomic.Uint64
 }
 
 // ErrPoolClosed is returned by Sign after Close.
@@ -52,7 +56,11 @@ func NewSignerPool(sk *PrivateKey, kind BaseSamplerKind, seed []byte, parallelis
 		}
 		signers[i] = s
 	}
-	return &SignerPool{pk: sk.Public(), shards: engine.NewShardSet(signers)}, nil
+	p := &SignerPool{pk: sk.Public(), free: make(chan *Signer, parallelism)}
+	for i := range signers {
+		p.free <- signers[(i+1)%parallelism]
+	}
+	return p, nil
 }
 
 // signerShardSeed derives shard i's seed from the pool seed with domain
@@ -73,20 +81,32 @@ func (p *SignerPool) Sign(msg []byte) (*Signature, error) {
 	return p.SignContext(nil, msg)
 }
 
-// SignContext is Sign with cancellation: a caller whose context cancels
-// while queued behind a busy signer shard unblocks with ctx.Err()
-// instead of holding its place in line.  A nil ctx never cancels.
+// SignContext is Sign with cancellation: a caller whose context is
+// already cancelled fails with ctx.Err() before taking a signer, and one
+// whose context cancels while every signer is busy stops waiting with
+// ctx.Err().  A nil ctx never cancels.
 func (p *SignerPool) SignContext(ctx context.Context, msg []byte) (*Signature, error) {
-	var sig *Signature
-	err := p.shards.DoContext(ctx, func(s *Signer) error {
-		var e error
-		sig, e = s.Sign(msg)
-		return e
-	})
-	if err != nil {
-		return nil, err
+	if p.closed.Load() {
+		return nil, ErrPoolClosed
 	}
-	return sig, nil
+	var done <-chan struct{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		done = ctx.Done()
+	}
+	var s *Signer
+	select {
+	case s = <-p.free:
+	case <-done:
+		return nil, ctx.Err()
+	}
+	defer func() { p.free <- s }()
+	before := s.Attempts
+	sig, err := s.Sign(msg)
+	p.attempts.Add(s.Attempts - before)
+	return sig, err
 }
 
 // Verify checks sig over msg against the pool's public key.  It touches
@@ -99,17 +119,13 @@ func (p *SignerPool) Verify(msg []byte, sig *Signature) error {
 func (p *SignerPool) Public() *PublicKey { return p.pk }
 
 // Size returns the shard count.
-func (p *SignerPool) Size() int { return p.shards.Size() }
+func (p *SignerPool) Size() int { return cap(p.free) }
 
 // Close gates the pool: new Sign calls fail with ErrPoolClosed while
 // in-flight ones finish.  Verify, Public, Size and Attempts keep
 // working.  Closing twice is harmless.
-func (p *SignerPool) Close() { p.shards.Close() }
+func (p *SignerPool) Close() { p.closed.Store(true) }
 
 // Attempts reports signing attempts summed across shards, the first of
 // each signature included (diagnostics, mirroring Signer.Attempts).
-func (p *SignerPool) Attempts() uint64 {
-	var total uint64
-	p.shards.Each(func(s *Signer) { total += s.Attempts })
-	return total
-}
+func (p *SignerPool) Attempts() uint64 { return p.attempts.Load() }

@@ -2,6 +2,8 @@ package falcon
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -154,5 +156,105 @@ func TestSignerPoolConvolveOwnsNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines alive after Close, started with %d", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSignerPoolSignsOnIdleSigner: a request takes whichever signer is
+// idle, so while one signer is held, SignContext completes on the other
+// instead of queueing behind the busy one.
+func TestSignerPoolSignsOnIdleSigner(t *testing.T) {
+	sk := testKey(t, 256)
+	pool, err := NewSignerPool(sk, BaseBitsliced, []byte("idle-seed"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := <-pool.free
+	defer func() { pool.free <- held }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	msg := []byte("one signer busy")
+	for i := 0; i < 3; i++ {
+		sig, err := pool.SignContext(ctx, msg)
+		if err != nil {
+			t.Fatalf("sign %d with one signer held: %v", i, err)
+		}
+		if err := pool.Verify(msg, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSignerPoolCancelWhileAllBusy: with every signer held, a context
+// that expires while waiting, or one cancelled before the call, returns
+// ctx.Err(); afterwards every signer still serves.
+func TestSignerPoolCancelWhileAllBusy(t *testing.T) {
+	sk := testKey(t, 256)
+	pool, err := NewSignerPool(sk, BaseBitsliced, []byte("busy-seed"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := []*Signer{<-pool.free, <-pool.free}
+	msg := []byte("every signer busy")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := pool.SignContext(ctx, msg); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wait past the deadline: err = %v, want DeadlineExceeded", err)
+	}
+	cancelled, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := pool.SignContext(cancelled, msg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want Canceled", err)
+	}
+	before := make(map[*Signer]uint64)
+	for _, s := range held {
+		before[s] = s.Attempts
+		pool.free <- s
+	}
+	// The free list is first in, first out: sequential signatures visit
+	// every signer once.
+	for i := 0; i < pool.Size(); i++ {
+		sig, err := pool.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Verify(msg, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range held {
+		if s.Attempts == before[s] {
+			t.Fatalf("signer %d never signed after the cancelled waits", i)
+		}
+	}
+}
+
+// TestSignerPoolAttemptsMatchSigners: the pool's attempt counter equals
+// the sum of its signers' own counters after concurrent signing.
+func TestSignerPoolAttemptsMatchSigners(t *testing.T) {
+	sk := testKey(t, 256)
+	pool, err := NewSignerPool(sk, BaseBitsliced, []byte("attempts-seed"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if _, err := pool.Sign([]byte{byte(g), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var sum uint64
+	for i := 0; i < pool.Size(); i++ {
+		sum += (<-pool.free).Attempts
+	}
+	if got := pool.Attempts(); got != sum || sum < 18 {
+		t.Fatalf("Attempts() = %d, signers sum to %d (18 signatures)", got, sum)
 	}
 }

@@ -18,7 +18,7 @@ import "ctgauss/internal/engine"
 // no lock.  A failed rebuild — it can only fail the way construction
 // would have — keeps the torn sampler, and the next fill's panic spends
 // the restart budget.
-func NewEngine(shards, w, depth int, mk func(i int) (BatchSampler, error)) (*engine.Engine[int], error) {
+func NewEngine(shards, w, depth int, mk func(i int) (BatchSampler, error)) (*engine.Engine, error) {
 	samplers := make([]BatchSampler, shards)
 	for i := range samplers {
 		s, err := mk(i)

@@ -75,12 +75,12 @@ func (m *metrics) index(name string) int {
 
 // sigmaStats is one precompiled σ pool's telemetry joined into the
 // scrape: the pool engine's unified ledger plus the pool's width and
-// ring occupancy.
+// per-shard state.
 type sigmaStats struct {
 	ctgauss.EngineStats
 	sigma            string
 	batchesPerRefill int
-	rings            []ctgauss.RingStat
+	health           []ctgauss.ShardHealth
 }
 
 func poolStats(sigma string, pool *ctgauss.Pool) sigmaStats {
@@ -88,7 +88,7 @@ func poolStats(sigma string, pool *ctgauss.Pool) sigmaStats {
 		EngineStats:      pool.EngineStats(),
 		sigma:            sigma,
 		batchesPerRefill: pool.Stats().BatchesPerRefill,
-		rings:            pool.RingStats(),
+		health:           pool.Health(),
 	}
 }
 
@@ -103,9 +103,10 @@ type arbStats struct {
 	refillsDiscarded uint64
 	shardsPoisoned   int
 
-	// rings is the merged per-shard base-engine ring occupancy, exported
-	// under sigma="arbitrary" with the pool ring gauges.
-	rings []ctgauss.RingStat
+	// health is the merged per-shard base-engine state; its buffered
+	// refills are exported under sigma="arbitrary" with the pools' ring
+	// gauges.
+	health []ctgauss.ShardHealth
 
 	table tier.Stats
 	keys  []tier.KeyInfo // sorted by σ
@@ -117,11 +118,11 @@ func newArbStats(arb *ctgauss.Arbitrary, tc *tier.Controller) *arbStats {
 		trials:   st.Trials,
 		accepted: st.Accepted,
 		shards:   st.Shards,
-		rings:    arb.RingStats(),
+		health:   arb.Health(),
 		table:    tc.Stats(),
 		keys:     tc.Snapshot(),
 	}
-	for _, h := range arb.Health() {
+	for _, h := range out.health {
 		out.producerRestarts += h.Restarts
 		out.refillsDiscarded += h.DiscardedRefills
 		if h.Poisoned {
@@ -338,20 +339,17 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	// Ring occupancy: how far ahead each shard's producer is right now.
 	// The arbitrary layer's base engines merge (sum) across members
 	// under sigma="arbitrary".
-	fb := ps.family("ctgaussd_engine_ring_buffered", "gauge", "Completed refills buffered ahead of demand per pool shard (0 under sustained load = consumers at refill speed).")
-	ft := ps.family("ctgaussd_engine_ring_target", "gauge", "The refill producer's current adaptive lookahead target per pool shard.")
-	ringRows := func(label string, rings []ctgauss.RingStat) {
-		for i, r := range rings {
-			l := fmt.Sprintf("{sigma=%q,shard=\"%d\"}", label, i)
-			fb.rowf(l, "%d", r.Buffered)
-			ft.rowf(l, "%d", r.Target)
+	f = ps.family("ctgaussd_engine_ring_buffered", "gauge", "Completed refills buffered ahead of demand per pool shard (0 under sustained load = consumers at refill speed).")
+	ringRows := func(label string, hs []ctgauss.ShardHealth) {
+		for i, h := range hs {
+			f.rowf(fmt.Sprintf("{sigma=%q,shard=\"%d\"}", label, i), "%d", h.Buffered)
 		}
 	}
 	for _, s := range sigmas {
-		ringRows(s.sigma, s.rings)
+		ringRows(s.sigma, s.health)
 	}
 	if d.arb != nil {
-		ringRows("arbitrary", d.arb.rings)
+		ringRows("arbitrary", d.arb.health)
 	}
 
 	if arb := d.arb; arb != nil {

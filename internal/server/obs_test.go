@@ -323,11 +323,19 @@ func TestRingOccupancyGauges(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	drawSamples(t, ts.URL, 64)
 
-	if v := scrapeMetric(t, ts.URL, `ctgaussd_engine_ring_target{sigma="2",shard="0"}`); v <= 0 {
-		t.Fatalf(`ring target gauge for sigma=2 shard=0 is %g, want > 0`, v)
+	// Left idle, a pool shard's producer refills to the configured
+	// lookahead and parks there.
+	depth := scrapeMetric(t, ts.URL, `ctgaussd_prefetch_depth{sigma="2"}`)
+	const series = `ctgaussd_engine_ring_buffered{sigma="2",shard="0"}`
+	deadline := time.Now().Add(5 * time.Second)
+	for v := scrapeMetric(t, ts.URL, series); v != depth; v = scrapeMetric(t, ts.URL, series) {
+		if v > depth || time.Now().After(deadline) {
+			t.Fatalf("%s = %g, want the prefetch depth %g", series, v, depth)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	// Occupancy is load-dependent; just require the series to exist.
-	_ = scrapeMetric(t, ts.URL, `ctgaussd_engine_ring_buffered{sigma="2",shard="0"}`)
+	// The arbitrary layer's occupancy is load-dependent; just require the
+	// series to exist.
 	_ = scrapeMetric(t, ts.URL, `ctgaussd_engine_ring_buffered{sigma="arbitrary",shard="0"}`)
 }
 

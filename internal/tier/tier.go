@@ -97,10 +97,13 @@ const rateBuckets = 4
 // sweeping σ values must not grow memory without bound.
 const defaultMaxTrackedKeys = 4096
 
-// maxCompiledSigma is the largest σ worth compiling directly — exact
-// minimization cost grows with the support ⌈τσ⌉, so wider keys stay on
-// the convolved tier no matter how hot.
-const maxCompiledSigma = 64
+// maxCompiledSigma is the largest σ worth compiling directly: a
+// compiled pool's cost per sample grows with its circuit, the convolved
+// tier's stays nearly flat, and above about σ = 32 the compiled pool
+// serves no faster while its exact minimization takes seconds
+// (docs/SERVING.md has the measured crossover).  Wider keys stay on the
+// convolved tier no matter how hot.
+const maxCompiledSigma = 32
 
 // ErrClosed is returned by forced transitions after Close.
 var ErrClosed = errors.New("tier: controller closed")

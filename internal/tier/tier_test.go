@@ -247,8 +247,10 @@ func TestBudgetSpendsHottestFirst(t *testing.T) {
 	}
 }
 
-// TestMaxSigmaCapsPromotion: arbitrarily hot keys wider than maxCompiledSigma
-// stay convolved (compiling them would cost more than it saves).
+// TestMaxSigmaCapsPromotion: arbitrarily hot keys wider than
+// maxCompiledSigma (32, where a compiled pool stops serving faster than
+// the convolved tier) stay convolved, while a cooler σ = 32 key in the
+// same Poll promotes.
 func TestMaxSigmaCapsPromotion(t *testing.T) {
 	c, err := New(Config{
 		PromoteRPS: 10, Window: time.Second, Tick: -1,
@@ -259,10 +261,14 @@ func TestMaxSigmaCapsPromotion(t *testing.T) {
 	}
 	defer c.Close()
 	c.Observe(300, 0, 1_000_000)
+	c.Observe(40, 0, 1_000_000)
+	c.Observe(32, 0, 1_000)
 	c.Poll()
-	time.Sleep(20 * time.Millisecond)
-	if got := c.State(300); got != Convolved {
-		t.Fatalf("σ=300 state %v, want convolved (σ > maxCompiledSigma)", got)
+	waitState(t, c, 32, Compiled)
+	for _, sigma := range []float64{300, 40} {
+		if got := c.State(sigma); got != Convolved {
+			t.Fatalf("σ=%v state %v, want convolved (σ > maxCompiledSigma)", sigma, got)
+		}
 	}
 }
 

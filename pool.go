@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"ctgauss/internal/bitslice"
 	"ctgauss/internal/core"
@@ -30,18 +31,19 @@ var ErrPoolDegraded = errors.New("ctgauss: all pool shards poisoned")
 // Pool is the concurrent serving form of a sampler: one compiled circuit
 // shared by a fixed set of shards, each an independent sampler instance
 // with its own PRNG stream.  Next, NextBatch and Take are safe for any
-// number of concurrent callers; requests spread across shards through a
-// striped round-robin pick, so with at least as many shards as active
-// goroutines they rarely contend.
+// number of concurrent callers; requests spread across shards through an
+// atomic round-robin counter, so with at least as many shards as active
+// goroutines they rarely contend, and one goroutine's draws visit the
+// shards in a fixed order (1, 2, …, n−1, 0, 1, …).
 //
 // Refills run on the unified engine runtime (internal/engine): by
 // default each shard's circuit evaluations happen on a background
-// producer goroutine ahead of demand (Config.Prefetch refills of
-// lookahead, adapting to the drain rate), so a request that finds the
-// ring warm pays a copy, not an evaluation.  Config.Prefetch < 0
-// selects the synchronous mode — refills inline under the shard lock,
-// the pre-engine behaviour.  Each shard's sample stream is bit-identical
-// in either mode; what changes is who pays the evaluation latency.
+// producer goroutine that keeps Config.Prefetch refills ahead of demand,
+// so a request that finds the ring warm pays a copy, not an evaluation.
+// Config.Prefetch < 0 selects the synchronous mode — refills inline
+// under the shard lock, the pre-engine behaviour.  Each shard's sample
+// stream is bit-identical in either mode; what changes is who pays the
+// evaluation latency.
 //
 // A Pool owns background goroutines in asynchronous mode: call Close
 // when done with it.  Draws concurrent with (or after) Close fail with
@@ -63,10 +65,10 @@ var ErrPoolDegraded = errors.New("ctgauss: all pool shards poisoned")
 // For serving pools over HTTP — batched draws with request coalescing,
 // metrics, and backpressure — see internal/server and cmd/ctgaussd.
 type Pool struct {
-	art    *registry.Artifact
-	eng    *engine.Engine[int]
-	picker *engine.Picker
-	width  int // batches per shard refill (1 on the compiled path)
+	art   *registry.Artifact
+	eng   *engine.Engine
+	ctr   atomic.Uint64 // round-robin shard pick
+	width int           // batches per shard refill (1 on the compiled path)
 }
 
 // DefaultPrefetch is the refill lookahead used when Config.Prefetch is
@@ -114,7 +116,7 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 	// dispatch and the bulk randomness draw across the batches of one
 	// refill; the width is a constant, so each pool's stream is a
 	// function of its seed alone, never of which ISA executes it.
-	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: bitslice.Width}
+	p := &Pool{art: art, width: bitslice.Width}
 	if useCompiled {
 		p.width = 1
 	}
@@ -161,13 +163,13 @@ func shardSeed(seed []byte, shard int) []byte {
 	return h.Sum(nil)
 }
 
-// consume draws n items from a healthy shard, failing over from
-// poisoned shards: starting at the picker's shard, it tries every shard
-// once before giving up with ErrPoolDegraded.  Close and cancellation
-// errors propagate unchanged.
+// consume draws n samples from a healthy shard, failing over from
+// poisoned shards: starting at the next round-robin shard, it tries
+// every shard once before giving up with ErrPoolDegraded.  Close and
+// cancellation errors propagate unchanged.
 func (p *Pool) consume(ctx context.Context, n int, fn func(chunk []int)) error {
-	start := p.picker.Pick()
 	shards := p.eng.Shards()
+	start := int(p.ctr.Add(1) % uint64(shards))
 	for i := 0; i < shards; i++ {
 		s := (start + i) % shards
 		err := p.eng.ConsumeFrom(ctx, s, n, fn)
@@ -238,24 +240,16 @@ func (p *Pool) Take(ctx context.Context, dst []int) error {
 // error is never served.
 func (p *Pool) Close() { p.eng.Close() }
 
-// ShardHealth is one shard's fault-isolation snapshot (see
+// ShardHealth is one shard's fault-isolation and ring snapshot (see
 // internal/engine): whether it is poisoned (producer restarting after a
-// recovered panic) or dead (restart budget exhausted), plus lifetime
-// restart and discarded-refill counts.
+// recovered panic) or dead (restart budget exhausted), lifetime restart
+// and discarded-refill counts, and the completed refills buffered ahead
+// of demand.
 type ShardHealth = engine.ShardHealth
 
-// Health snapshots the per-shard fault-isolation state (restarts,
-// poisoned/dead flags, discarded refills), indexed by shard.
+// Health snapshots the per-shard state (restarts, poisoned/dead flags,
+// discarded and buffered refills), indexed by shard.
 func (p *Pool) Health() []ShardHealth { return p.eng.Health() }
-
-// RingStat is one shard's prefetch-ring occupancy snapshot (see
-// internal/engine): buffered completed refills, the producer's
-// adaptive target, and the configured depth.
-type RingStat = engine.RingStat
-
-// RingStats snapshots per-shard ring occupancy — the source of the
-// ctgaussd_engine_ring_* gauges.
-func (p *Pool) RingStats() []RingStat { return p.eng.Rings() }
 
 // Size returns the shard count.
 func (p *Pool) Size() int { return p.eng.Shards() }
@@ -300,54 +294,14 @@ func (p *Pool) BitsUsed() uint64 {
 	return p.eng.Ledger().RefillsStarted * p.bitsPerRefill()
 }
 
-// EngineStats is a snapshot of a pool-like serving engine's unified
-// ledger (see internal/engine): refill production vs consumption and
-// the prefetch hit ratio.
-type EngineStats struct {
-	Shards           int
-	SamplesPerRefill int
-	Prefetch         int  // configured lookahead depth (0 = synchronous)
-	Async            bool // background producers running
-
-	RefillsProduced uint64 // fills completed, including unconsumed lookahead
-	RefillsStarted  uint64 // refills whose consumption began
-	SamplesServed   uint64 // samples handed to callers
-	PrefetchHits    uint64 // draws served without waiting for a fill
-	PrefetchMisses  uint64 // draws that waited (async) or filled inline (sync)
-
-	ProducerRestarts uint64 // fills that panicked and were recovered
-	RefillsDiscarded uint64 // refills abandoned by a panicking fill
-	ShardsPoisoned   int    // shards currently poisoned (restarting or dead)
-}
-
-// HitRatio returns PrefetchHits / (PrefetchHits + PrefetchMisses), or 0
-// before any draw.
-func (s EngineStats) HitRatio() float64 {
-	total := s.PrefetchHits + s.PrefetchMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PrefetchHits) / float64(total)
-}
+// EngineStats is a snapshot of a pool's refill-runtime ledger (see
+// internal/engine): refill production vs consumption, the prefetch hit
+// ratio, and fault-recovery counts.  Prefetch 0 means synchronous
+// refills with no background producers.
+type EngineStats = engine.Ledger
 
 // EngineStats snapshots the pool's refill-runtime ledger.
-func (p *Pool) EngineStats() EngineStats {
-	l := p.eng.Ledger()
-	return EngineStats{
-		Shards:           l.Shards,
-		SamplesPerRefill: l.SlotSize,
-		Prefetch:         l.Depth,
-		Async:            p.eng.Async(),
-		RefillsProduced:  l.RefillsProduced,
-		RefillsStarted:   l.RefillsStarted,
-		SamplesServed:    l.ItemsConsumed,
-		PrefetchHits:     l.PrefetchHits,
-		PrefetchMisses:   l.PrefetchMisses,
-		ProducerRestarts: l.ProducerRestarts,
-		RefillsDiscarded: l.RefillsDiscarded,
-		ShardsPoisoned:   l.ShardsPoisoned,
-	}
-}
+func (p *Pool) EngineStats() EngineStats { return p.eng.Ledger() }
 
 // Stats describes the shared circuit (same schema as Sampler.Stats).
 func (p *Pool) Stats() Stats {

@@ -29,7 +29,7 @@ func TestPoolChaosFailover(t *testing.T) {
 			t.Fatalf("draw %d with one shard poisoned: %v", i, err)
 		}
 	}
-	// The striped picker lands on shard 0 roughly half the time, so 30
+	// The round-robin pick lands on shard 0 every other draw, so 30
 	// draws must have tripped the fault at least once.
 	es := p.EngineStats()
 	if es.ProducerRestarts == 0 || es.RefillsDiscarded == 0 {

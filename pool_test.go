@@ -113,11 +113,8 @@ func TestPoolConcurrentNextBatch(t *testing.T) {
 
 // TestPoolDeterministicFromSeed: with a fixed seed, two identically
 // configured pools produce identical per-shard streams, and with one
-// shard the whole Next sequence is identical.  (The cross-shard
-// interleave of a multi-shard pool is unspecified — the striped pick
-// trades that guarantee for contention-free sharding — so determinism
-// is pinned where it is defined: per shard, and for the single-shard
-// sequence.)
+// shard the whole Next sequence is identical.  The multi-shard sequence
+// is pinned by TestPoolPickOrderDeterministic.
 func TestPoolDeterministicFromSeed(t *testing.T) {
 	mk := func(shards int) *ctgauss.Pool {
 		cfg := poolCfg
@@ -248,5 +245,55 @@ func TestPoolBadConfig(t *testing.T) {
 	}
 	if _, err := ctgauss.NewPoolWithConfig(ctgauss.Config{Sigma: "2", Precision: 48, PRNG: "bad"}, 2); err == nil {
 		t.Fatal("expected error for bad PRNG")
+	}
+}
+
+// TestPoolPickOrderDeterministic pins the round-robin shard pick: two
+// fresh 2-shard pools with one seed give one goroutine identical Take
+// sequences, and those sequences visit the shards in the fixed order 1,
+// 0, 1, … one refill-sized chunk at a time.
+func TestPoolPickOrderDeterministic(t *testing.T) {
+	cfg := poolCfg
+	cfg.Seed = []byte("pick-order")
+	pools := make([]*ctgauss.Pool, 3)
+	for i := range pools {
+		p, err := ctgauss.NewPoolWithConfig(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		pools[i] = p
+	}
+	slot := 64 * pools[0].Stats().BatchesPerRefill
+	sizes := []int{1, 100, slot, slot + 500, 3*slot + 7, 64}
+	var got [2][]int
+	for i := range got {
+		for _, n := range sizes {
+			dst := make([]int, n)
+			if err := pools[i].Take(nil, dst); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = append(got[i], dst...)
+		}
+	}
+	if !slices.Equal(got[0], got[1]) {
+		t.Fatal("two fresh pools with one seed served different Take sequences")
+	}
+	var want []int
+	pick := 0
+	for _, n := range sizes {
+		for n > 0 {
+			k := min(n, slot)
+			pick++
+			dst := make([]int, k)
+			if err := pools[2].TakeFromShard(pick%2, dst); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, dst...)
+			n -= k
+		}
+	}
+	if !slices.Equal(got[0], want) {
+		t.Fatal("Take sequence does not follow the shard order 1, 0, 1, …")
 	}
 }
