@@ -124,15 +124,9 @@ func (a *Arbitrary) Health() []ShardHealth { return a.inner.Health() }
 // Degraded reports whether any shard of the base engines is poisoned.
 // The serving layer sheds free-form load — and the tier controller
 // defers promotions — while this is true: a restarting base set should
-// not also pay a minimization build.
-func (a *Arbitrary) Degraded() bool {
-	for _, h := range a.inner.Health() {
-		if h.Poisoned {
-			return true
-		}
-	}
-	return false
-}
+// not also pay a minimization build.  It allocates nothing, since every
+// convolved request asks.
+func (a *Arbitrary) Degraded() bool { return a.inner.Degraded() }
 
 // Close stops the background refill goroutines behind the base-draw
 // streams.  Draws concurrent with or after Close fail with ErrClosed;

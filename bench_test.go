@@ -225,7 +225,7 @@ func BenchmarkPRNGOverhead(b *testing.B) {
 			buf := make([]uint64, words)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rd.Words(buf)
+				rd.FillWords(buf)
 			}
 		})
 	}

@@ -1,5 +1,8 @@
 // Command gencircuits regenerates the checked-in compiled sampler circuits
-// in internal/sampler/gen (run via go:generate in that package).
+// in internal/sampler/gen.  It writes into the current directory, so run
+// it through go generate in that package:
+//
+//	go generate ./internal/sampler/gen
 package main
 
 import (
@@ -10,19 +13,20 @@ import (
 )
 
 func main() {
+	if os.Getenv("GOPACKAGE") != "gen" {
+		fmt.Fprintln(os.Stderr, "gencircuits: run through go generate ./internal/sampler/gen")
+		os.Exit(2)
+	}
 	for _, cfg := range []struct{ sigma, file, fn string }{
-		{"2", "internal/sampler/gen/sigma2.go", "Sigma2Batch"},
-		{"6.15543", "internal/sampler/gen/sigma615543.go", "Sigma615543Batch"},
+		{"2", "sigma2.go", "Sigma2Batch"},
+		{"6.15543", "sigma615543.go", "Sigma615543Batch"},
 	} {
 		b, err := core.Build(core.Config{Sigma: cfg.sigma, N: 128, TailCut: 13, Min: core.MinimizeExact})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		src := b.Program.EmitGo("gen", cfg.fn)
-		src += fmt.Sprintf("\n// %sInputs is the number of packed input words %s consumes.\nconst %sInputs = %d\n\n// %sValueBits is the number of output magnitude bits.\nconst %sValueBits = %d\n",
-			cfg.fn, cfg.fn, cfg.fn, b.Program.NumInputs, cfg.fn, cfg.fn, b.Program.ValueBits)
-		if err := os.WriteFile(cfg.file, []byte(src), 0o644); err != nil {
+		if err := os.WriteFile(cfg.file, []byte(b.Program.EmitGoFile("gen", cfg.fn)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -37,7 +37,7 @@
 // stream, Keygen's f and g and BaseConvolve's base draws included, is
 // sampled at one evaluation width (16) whatever the SIMD backend, so
 // portable hosts (CTGAUSS_SIMD=off, arm64) derive the same key and sign
-// the same signatures from a seed as AVX2/AVX-512 hosts.  Keys that
+// the same signatures from a seed as AVX2 hosts.  Keys that
 // portable hosts generated with earlier versions of this package, which
 // sampled at a host-dependent width, differ, and so do BaseConvolve
 // signatures made on portable hosts before the width was fixed.

@@ -8,12 +8,12 @@ import (
 )
 
 // TestGoldenBackendsIdentical forces every backend this machine can run
-// — portable always, plus each detected SIMD ISA — and regenerates the
-// interpreter golden streams at bitslice.Width, the width with SIMD
-// kernels, under each.  Every backend must produce the SHA-256 digest
-// pinned in testdata/golden.json: the backend changes who executes the
-// instruction stream, never a single emitted sample.  This is the
-// serving deployment's cross-fleet contract — a mixed AVX-512/AVX2/
+// — portable always, plus AVX2 where detected — and regenerates the
+// interpreter golden streams at bitslice.Width, the width the AVX2
+// kernel runs, under each.  Every backend must produce the SHA-256
+// digest pinned in testdata/golden.json: the backend changes who
+// executes the instruction stream, never a single emitted sample.  This
+// is the serving deployment's cross-fleet contract — a mixed AVX2/
 // portable fleet shards one logical stream space.
 func TestGoldenBackendsIdentical(t *testing.T) {
 	pinned := map[string]string{}

@@ -68,3 +68,15 @@ func (p *Program) EmitGo(pkg, funcName string) string {
 	fmt.Fprintf(&b, "}\n")
 	return b.String()
 }
+
+// EmitGoFile renders EmitGo's function followed by two constants giving
+// its shape, funcName+"Inputs" and funcName+"ValueBits".  It is the
+// format of the checked-in circuits in internal/sampler/gen: their
+// generator writes it, and the package's test requires the files to
+// equal it byte for byte.
+func (p *Program) EmitGoFile(pkg, funcName string) string {
+	return p.EmitGo(pkg, funcName) + fmt.Sprintf(
+		"\n// %[1]sInputs is the number of packed input words %[1]s consumes.\nconst %[1]sInputs = %[2]d\n"+
+			"\n// %[1]sValueBits is the number of output magnitude bits.\nconst %[1]sValueBits = %[3]d\n",
+		funcName, p.NumInputs, p.ValueBits)
+}

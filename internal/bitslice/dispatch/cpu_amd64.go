@@ -10,14 +10,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // the OS saves and restores across context switches.
 func xgetbv() (eax, edx uint32)
 
-// XCR0 state-component bits the kernels depend on: the OS must preserve
-// xmm+ymm state for AVX2 and additionally the opmask and both zmm banks
-// for AVX-512, or the registers are silently corrupted across context
-// switches.
-const (
-	ymmState = 0x6  // XCR0[2:1] = SSE, AVX
-	zmmState = 0xe0 // XCR0[7:5] = opmask, ZMM_Hi256, Hi16_ZMM
-)
+// ymmState is the XCR0 state-component mask the AVX2 kernels depend on:
+// the OS must preserve xmm+ymm state across context switches, or the
+// registers are silently corrupted.
+const ymmState = 0x6 // XCR0[2:1] = SSE, AVX
 
 // probe returns the SIMD backends this CPU and OS support, in ascending
 // preference order.  Portable is implicit and never included.
@@ -39,16 +35,10 @@ func probe() []Backend {
 		return nil
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	var out []Backend
-	if ebx7&(1<<5) != 0 { // AVX2
-		out = append(out, AVX2)
+	if ebx7&(1<<5) == 0 { // AVX2
+		return nil
 	}
-	// The zmm kernels use AVX-512F instructions only (VMOVDQU64,
-	// VPTERNLOGQ), so F is the sole ISA requirement.
-	if ebx7&(1<<16) != 0 && xcr0&zmmState == zmmState { // AVX512F
-		out = append(out, AVX512)
-	}
-	return out
+	return []Backend{AVX2}
 }
 
 // HasAES reports whether the CPU has the instructions Go's crypto/aes

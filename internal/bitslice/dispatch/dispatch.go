@@ -3,23 +3,24 @@
 // probed (hand-rolled CPUID/XGETBV on amd64 — the module is dependency-
 // free by policy), the CTGAUSS_SIMD environment override is applied, and
 // the winner is published through an atomic so evaluation reads it with
-// one load.  The pure-Go interpreter is always available as the portable
-// fallback.  Every backend evaluates at the same width (bitslice.Width)
-// and produces bit-identical output — the backend changes who executes
-// the instruction stream, never what it computes, so a stream depends on
-// its seed alone on every host.
+// one load.  There are two backends: the AVX2 kernel wherever the CPU
+// and OS support it, and the pure-Go interpreter, always available as
+// the portable fallback.  Both evaluate at the same width
+// (bitslice.Width) and produce bit-identical output — the backend
+// changes who executes the instruction stream, never what it computes,
+// so a stream depends on its seed alone on every host.
 //
-// The same selection picks internal/prng's ChaCha20 block function: at
-// AVX2 or better it fills eight blocks at a time with an AVX2 kernel,
-// under Portable it runs the pure-Go block.  The keystream is the same
-// either way.
+// The same selection picks internal/prng's ChaCha20 block function:
+// under AVX2 it fills eight blocks at a time with an AVX2 kernel, under
+// Portable it runs the pure-Go block.  The keystream is the same either
+// way.
 //
 // Override values (CTGAUSS_SIMD): "off"/"portable" force the pure-Go
-// path, "avx2"/"avx512" request a specific kernel set.  Requesting a
-// backend the CPU (or OS) does not support falls back to the best
-// available one rather than failing: a fleet-wide env var must not brick
-// replicas on older hardware.  Info records both the request and the
-// outcome so /healthz can surface a mismatch.
+// path, "avx2" requests the kernel.  Requesting a backend the CPU (or
+// OS) does not support, or any other value, falls back to the best
+// available one rather than failing: a fleet-wide env var must not
+// brick replicas on older hardware.  Info records both the request and
+// the outcome so /healthz can surface a mismatch.
 package dispatch
 
 import (
@@ -39,10 +40,6 @@ const (
 	// AVX2 executes the op stream with 256-bit VPAND-class instructions,
 	// four ymm registers per 16-word slot.
 	AVX2
-	// AVX512 executes the op stream with 512-bit zmm registers, two per
-	// 16-word slot; every opcode — fused or not — is a single VPTERNLOGQ
-	// per vector.
-	AVX512
 )
 
 // String returns the backend's stable name (the override spelling).
@@ -52,8 +49,6 @@ func (b Backend) String() string {
 		return "portable"
 	case AVX2:
 		return "avx2"
-	case AVX512:
-		return "avx512"
 	}
 	return fmt.Sprintf("backend(%d)", int32(b))
 }
@@ -97,15 +92,9 @@ func choose(override string, detected []Backend) (Backend, string) {
 		return best, ""
 	case "off", "portable", "none":
 		return Portable, ""
-	case "avx2", "avx512":
-		want := AVX2
-		if override == "avx512" {
-			want = AVX512
-		}
-		for _, d := range detected {
-			if d == want {
-				return want, ""
-			}
+	case "avx2":
+		if best == AVX2 {
+			return AVX2, ""
 		}
 		return best, fmt.Sprintf("CTGAUSS_SIMD=%s unavailable on this CPU, using %s", override, best)
 	default:

@@ -17,8 +17,8 @@ import (
 // the reference interpreter on both of the paper's generated circuits, at
 // both evaluation widths, including the transpose-based unpacking.  The
 // whole sweep repeats once per available backend (forced portable, then
-// each detected SIMD ISA), so bitslice.Width — the width with assembly
-// kernels — is proven identical across every implementation this
+// AVX2 where detected), so bitslice.Width — the width the assembly
+// kernel runs — is proven identical across every implementation this
 // machine can run.
 func TestOptimizeSigmaCircuits(t *testing.T) {
 	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)

@@ -44,8 +44,8 @@ func fuzzProgram(data []byte) *Program {
 // interpreter on decoded programs: RunWideInto at width 1, and at Width
 // under the portable backend and under every detected SIMD backend in
 // turn, must equal Run lane for lane on every 64-lane block.  Forcing
-// each backend means an AVX host fuzzes runWide16 as well as its
-// kernels.  Seeds live in testdata/fuzz/FuzzProgramOptimize.
+// each backend means an AVX2 host fuzzes runWide16 as well as its
+// kernel.  Seeds live in testdata/fuzz/FuzzProgramOptimize.
 func FuzzProgramOptimize(f *testing.F) {
 	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,8 +9,8 @@
 // Its evaluation form, Optimized, runs at one of two widths: 1 word per
 // slot (64 lanes, the paper's per-batch layout) or Width = 16 words per
 // slot (1024 lanes), the width of every interpreted serving stream.  The
-// dispatch package picks who runs width 16 — an AVX2 or AVX-512 kernel,
-// or the portable Go body — and never changes the result.
+// dispatch package picks who runs width 16 — the AVX2 kernel or the
+// portable Go body — and never changes the result.
 package bitslice
 
 import "fmt"

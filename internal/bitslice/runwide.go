@@ -16,7 +16,7 @@ package bitslice
 // Width is the evaluation width of every interpreted wide stream, in
 // 64-bit words per slot: one pass yields Width×64 samples.  It is a
 // constant rather than a property of the host, so a stream depends on
-// its seed alone — the SIMD kernels, when present, only run the same
+// its seed alone — the AVX2 kernel, when present, only runs the same
 // width faster.
 const Width = 16
 
@@ -98,9 +98,9 @@ func (o *Optimized) RunInto(inputs, slots, out []uint64) {
 // input-major with w words per input, slots must hold NumSlots*w words,
 // out receives len(Outputs)*w words output-major.
 //
-// At Width the active SIMD backend (dispatch package), if any, interprets
-// the packed op stream in assembly, and runWide16 runs everywhere else;
-// every backend computes the identical word stream, so the selection is
+// At Width the AVX2 kernel interprets the packed op stream in assembly
+// when the dispatch package selected it, and runWide16 runs everywhere
+// else; both compute the identical word stream, so the selection is
 // invisible beyond speed.
 func (o *Optimized) RunWideInto(w int, inputs, slots, out []uint64) {
 	o.checkRunArgs(w, inputs, slots, out)

@@ -1,7 +1,7 @@
 package bitslice
 
-// Packed kernel form of an Optimized program.  The SIMD backends
-// (simd_amd64.s) interpret the op stream in assembly; to keep their
+// Packed kernel form of an Optimized program.  The AVX2 kernel
+// (simd_amd64.s) interprets the op stream in assembly; to keep its
 // decode to a handful of instructions, the Go side pre-lowers Code into
 // a flat array of dense opcodes and byte offsets:
 //
@@ -10,15 +10,12 @@ package bitslice
 //     stream can contain),
 //   - slot indices become byte offsets into the slot file at Width
 //     (slot s → s·Width·8), so the kernel adds the offset to the slot
-//     base with no multiply,
-//   - unused operands (B of a NOT, C of any base op) are pointed at A,
-//     so kernels with a uniform load shape — the AVX-512 interpreter
-//     loads A, B and C for every op and folds the whole boolean into
-//     one VPTERNLOGQ — read harmlessly instead of branching.
+//     base with no multiply.
 //
-// The packed form does not depend on the ISA, so one cached copy serves
-// every backend; it is the "backend-independent optimized form" the
-// registry's shared Optimized carries.
+// Operands an op does not use (B of a NOT, C of a base op) are packed
+// as they come and never read: each kernel handler loads only the
+// operands its op uses.  The packed form is cached on the Optimized, so
+// the registry's shared copy packs once for every sampler that runs it.
 
 // simdInstr is one packed instruction: a dense opcode and byte offsets
 // of the operand and destination slots.  Layout is part of the kernel
@@ -29,11 +26,11 @@ type simdInstr struct {
 	a, b, c, d uint32
 }
 
-// simdInstrSize is the packed record size the kernels decode.
+// simdInstrSize is the packed record size the kernel decodes.
 const simdInstrSize = 20
 
 // Dense kernel opcodes.  Order is part of the kernel ABI: the assembly
-// dispatch trees compare against these values.
+// dispatch tree compares against these values.
 const (
 	sopAnd          = iota // d = a & b
 	sopOr                  // d = a | b
@@ -97,11 +94,6 @@ func (o *Optimized) packSIMD() []simdInstr {
 		}
 		if in.Op > OpOnes {
 			si.c = uint32(in.C) * stride
-		} else {
-			si.c = si.a // unused: harmless uniform read
-		}
-		if in.Op == OpNot {
-			si.b = si.a
 		}
 		code[i] = si
 	}
@@ -121,8 +113,8 @@ func (o *Optimized) simdCode() []simdInstr {
 	return code
 }
 
-// prepSlots is the width-Width evaluation preamble shared by every
-// backend: load the input words and initialize the constant planes.
+// prepSlots is the width-Width evaluation preamble shared by both
+// backends: load the input words and initialize the constant planes.
 func (o *Optimized) prepSlots(inputs, slots []uint64) {
 	const w = Width
 	copy(slots[:o.NumInputs*w], inputs)
@@ -140,8 +132,8 @@ func (o *Optimized) prepSlots(inputs, slots []uint64) {
 	}
 }
 
-// gatherOutputs is the width-Width evaluation epilogue shared by every
-// backend: copy the output slots out output-major.
+// gatherOutputs is the width-Width evaluation epilogue shared by both
+// backends: copy the output slots out output-major.
 func (o *Optimized) gatherOutputs(slots, out []uint64) {
 	const w = Width
 	for i, s := range o.Outputs {

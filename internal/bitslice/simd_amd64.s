@@ -1,23 +1,19 @@
-// SIMD interpreters for the packed bitslice op stream (simd.go).
+// SIMD interpreter for the packed bitslice op stream (simd.go).
 //
-// Each kernel walks the 20-byte simdInstr records — {op, aOff, bOff,
+// The kernel walks the 20-byte simdInstr records — {op, aOff, bOff,
 // cOff, dOff} as uint32, offsets in bytes into the slot file — and
 // executes one whole slot (Width = 16 contiguous uint64s) per
-// instruction with vector registers: four ymm per slot on AVX2, two zmm
-// on AVX-512.  Operand reads all happen before the destination store, so
-// Dst aliasing an operand slot behaves exactly like the Go interpreters.
+// instruction as four ymm registers.  Each handler reads only the
+// operands its op uses, and every operand read happens before the
+// destination store, so Dst aliasing an operand slot behaves exactly
+// like the Go interpreters.
 //
 // Dispatch is a branch tree over the dense opcode, mirroring the Go
 // interpreter's two-level switch (a 13-way indirect jump mispredicts
-// on the irregular generated op sequences).  The AVX-512 kernel doesn't
-// branch per shape at all beyond selecting an immediate: every opcode
-// — fused or not — is VPTERNLOGQ with the truth table of the whole
-// expression as imm8, over a = 0xF0, b = 0xCC, c = 0xAA.  Unused
-// operands were pointed at A by the packer, so the uniform a/b/c loads
-// are always in bounds.
+// on the irregular generated op sequences).
 //
-// Register budget (both kernels): DI = instruction cursor, BX = end of
-// code, SI = slot base, AX = opcode, R10-R13 = a/b/c/d byte offsets.
+// Register budget: DI = instruction cursor, BX = end of code, SI = slot
+// base, AX = opcode, R10-R13 = a/b/c/d byte offsets, Y15 = all-ones.
 // R14 (goroutine pointer) and R15 are untouched.  No stack, no calls.
 
 #include "textflag.h"
@@ -267,144 +263,5 @@ a16_store:
 	JB a16_loop
 
 a16_done:
-	VZEROUPPER
-	RET
-
-// func runCodeAVX512W16(code *simdInstr, n int, slots *uint64)
-//
-// Uniform handlers: load a and b, then a single VPTERNLOGQ with c as
-// the memory operand and the whole expression's truth table as imm8
-// (a = 0xF0, b = 0xCC, c = 0xAA).
-TEXT ·runCodeAVX512W16(SB), NOSPLIT, $0-24
-	MOVQ code+0(FP), DI
-	MOVQ n+8(FP), AX
-	MOVQ slots+16(FP), SI
-	LEAQ (AX)(AX*4), BX
-	LEAQ (DI)(BX*4), BX
-	CMPQ DI, BX
-	JAE z16_done
-
-z16_loop:
-	MOVL 0(DI), AX
-	MOVL 4(DI), R10
-	MOVL 8(DI), R11
-	MOVL 12(DI), R12
-	MOVL 16(DI), R13
-	ADDQ $20, DI
-	VMOVDQU64 (SI)(R10*1), Z0
-	VMOVDQU64 64(SI)(R10*1), Z2
-	VMOVDQU64 (SI)(R11*1), Z1
-	VMOVDQU64 64(SI)(R11*1), Z3
-	CMPL AX, $5
-	JB z16_base
-	CMPL AX, $9
-	JB z16_f_low
-	CMPL AX, $11
-	JB z16_f_mid
-	CMPL AX, $12
-	JB z16_andandnot
-	JMP z16_andnotandnot
-
-z16_f_mid:
-	CMPL AX, $10
-	JB z16_orand
-	JMP z16_andnotand
-
-z16_f_low:
-	CMPL AX, $7
-	JB z16_f_ll
-	CMPL AX, $8
-	JB z16_oror
-	JMP z16_andand
-
-z16_f_ll:
-	CMPL AX, $6
-	JB z16_andor
-	JMP z16_andnotor
-
-z16_base:
-	CMPL AX, $2
-	JB z16_b_low
-	CMPL AX, $3
-	JB z16_xor
-	JE z16_not
-	JMP z16_andnot
-
-z16_b_low:
-	CMPL AX, $1
-	JB z16_and
-	JMP z16_or
-
-z16_and: // a & b
-	VPTERNLOGQ $0xC0, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xC0, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_or: // a | b
-	VPTERNLOGQ $0xFC, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xFC, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_xor: // a ^ b
-	VPTERNLOGQ $0x3C, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x3C, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_not: // ^a
-	VPTERNLOGQ $0x0F, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x0F, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andnot: // a &^ b
-	VPTERNLOGQ $0x30, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x30, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andor: // c | (a & b)
-	VPTERNLOGQ $0xEA, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xEA, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andnotor: // c | (a &^ b)
-	VPTERNLOGQ $0xBA, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xBA, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_oror: // c | a | b
-	VPTERNLOGQ $0xFE, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xFE, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andand: // c & a & b
-	VPTERNLOGQ $0x80, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x80, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_orand: // c & (a | b)
-	VPTERNLOGQ $0xA8, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0xA8, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andnotand: // c & (a &^ b)
-	VPTERNLOGQ $0x20, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x20, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andandnot: // (a & b) &^ c
-	VPTERNLOGQ $0x40, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x40, 64(SI)(R12*1), Z3, Z2
-	JMP z16_store
-
-z16_andnotandnot: // (a &^ b) &^ c
-	VPTERNLOGQ $0x10, (SI)(R12*1), Z1, Z0
-	VPTERNLOGQ $0x10, 64(SI)(R12*1), Z3, Z2
-
-z16_store:
-	VMOVDQU64 Z0, (SI)(R13*1)
-	VMOVDQU64 Z2, 64(SI)(R13*1)
-	CMPQ DI, BX
-	JB z16_loop
-
-z16_done:
 	VZEROUPPER
 	RET

@@ -497,6 +497,18 @@ func (s *Sampler) Stats() Stats {
 // Bounds returns the admissible σ range.
 func (s *Sampler) Bounds() (min, max float64) { return DefaultMinSigma, s.maxSigma }
 
+// Degraded reports whether any base engine has a poisoned shard — the
+// same condition as any merged Health entry being Poisoned, read from
+// each engine's Ledger gauge without building the merged slice.
+func (s *Sampler) Degraded() bool {
+	for _, e := range s.engines {
+		if e.Ledger().ShardsPoisoned > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Health merges the per-shard state across the base engines: shard i is
 // poisoned (or dead) if it is poisoned (dead) in any member's engine — a
 // trial block needs every term's base stream, so one poisoned member

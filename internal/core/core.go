@@ -139,18 +139,13 @@ func Build(cfg Config) (*Built, error) {
 	return b, nil
 }
 
-// MinimizeSublists converts every sublist l_κ into minimized per-bit
-// Boolean functions f^{ι,κ}_Δ over the Δ payload variables, using all
-// available CPUs.
-func MinimizeSublists(tree *ddg.Tree, min Minimizer) ([]bitslice.SublistFuncs, error) {
-	return MinimizeSublistsWorkers(tree, min, 0)
-}
-
-// MinimizeSublistsWorkers is MinimizeSublists with an explicit worker
-// bound (0 = runtime.NumCPU(), 1 = serial).  Each f^{ι,κ}_Δ is an
-// independent two-level minimization, so the (sublist, bit) grid fans out
-// across workers; results are merged into position-indexed slices, so the
-// output is identical to the serial path regardless of scheduling.
+// MinimizeSublistsWorkers converts every sublist l_κ into minimized
+// per-bit Boolean functions f^{ι,κ}_Δ over the Δ payload variables on up
+// to workers goroutines (0 = runtime.NumCPU(), 1 = serial).  Each
+// f^{ι,κ}_Δ is an independent two-level minimization, so the (sublist,
+// bit) grid fans out across workers; results are merged into
+// position-indexed slices, so the output is identical to the serial path
+// regardless of scheduling.
 func MinimizeSublistsWorkers(tree *ddg.Tree, min Minimizer, workers int) ([]bitslice.SublistFuncs, error) {
 	if min != MinimizeExact && min != MinimizeGreedy && min != MinimizeNone {
 		return nil, fmt.Errorf("core: unknown minimizer %d", min)

@@ -12,9 +12,9 @@
 // samplers consume.
 //
 // The SIMD backend of internal/bitslice/dispatch also picks ChaCha20's
-// block function: at AVX2 or better, whole eight-block runs go through
-// an AVX2 kernel (chacha_amd64.s); otherwise, and for every other
-// block, a pure-Go block runs.  Both produce the same RFC 8439
+// block function: under AVX2, whole eight-block runs go through an AVX2
+// kernel (chacha_amd64.s); under the portable backend, and for every
+// other block, a pure-Go block runs.  Both produce the same RFC 8439
 // keystream, so CTGAUSS_SIMD=off changes the speed, not the bytes.
 package prng
 

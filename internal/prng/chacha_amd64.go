@@ -18,10 +18,9 @@ func chacha20Blocks8AVX2(state *[16]uint32, out *byte)
 // fillBlocks8 writes whole eight-block runs of keystream into p with the
 // AVX2 kernel and returns the part of p it left unfilled.  It fills
 // nothing unless the active dispatch backend (read per call, so
-// CTGAUSS_SIMD=off and dispatch.Force reach it) is AVX2 or AVX512,
-// whose CPUs all have AVX2, and it stops before a run whose counter
-// would wrap, leaving that run to the Go block and its carry into
-// word 13.
+// CTGAUSS_SIMD=off and dispatch.Force reach it) is AVX2, and it stops
+// before a run whose counter would wrap, leaving that run to the Go
+// block and its carry into word 13.
 func (c *ChaCha20) fillBlocks8(p []byte) []byte {
 	if dispatch.Active() < dispatch.AVX2 {
 		return p

@@ -320,7 +320,7 @@ func TestBitReaderBitOrderMatchesBytes(t *testing.T) {
 func TestBitReaderWords(t *testing.T) {
 	r := NewBitReader(MustChaCha20([]byte("w")))
 	dst := make([]uint64, 4)
-	r.Words(dst)
+	r.FillWords(dst)
 	if r.BitsRead != 256 {
 		t.Fatalf("BitsRead = %d", r.BitsRead)
 	}

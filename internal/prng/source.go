@@ -127,12 +127,6 @@ func (r *BitReader) alignByte() {
 	}
 }
 
-// Words fills dst with random 64-bit words (the packed bit-planes consumed
-// by the bitsliced sampler: word i carries bit i of 64 independent lanes).
-// It is equivalent to calling Uint64 per word but reads the internal
-// buffer in bulk.
-func (r *BitReader) Words(dst []uint64) { r.FillWords(dst) }
-
 // FillWords fills dst with random 64-bit words, the batch path of the
 // wide samplers, which draw NumInputs×W words at a time.  Whenever it
 // reaches a refill point with 64 or more words still to go, it fills the

@@ -3,7 +3,7 @@
 // emitted by the pipeline's code generator — the deployment artifact the
 // paper's published tool produces.  Regenerate with:
 //
-//	go run ./cmd/internal/gencircuits
+//	go generate ./internal/sampler/gen
 package gen
 
 //go:generate go run ctgauss/cmd/internal/gencircuits

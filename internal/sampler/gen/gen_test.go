@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"ctgauss/internal/core"
@@ -10,23 +11,31 @@ import (
 )
 
 // TestGeneratedMatchesInterpreted is the determinism/correctness check for
-// the checked-in circuits: rebuilding the pipeline and interpreting its
+// the checked-in circuits: each file must be exactly what go generate
+// writes from a rebuild of the pipeline, interpreting the rebuilt
 // program must agree with the compiled source on random inputs, and a
 // width-1 sampler over either form must draw the same stream.
 func TestGeneratedMatchesInterpreted(t *testing.T) {
 	cases := []struct {
-		sigma     string
-		fn        func(in, out []uint64)
-		numInputs int
-		valueBits int
+		sigma, file, name string
+		fn                func(in, out []uint64)
+		numInputs         int
+		valueBits         int
 	}{
-		{"2", Sigma2Batch, Sigma2BatchInputs, Sigma2BatchValueBits},
-		{"6.15543", Sigma615543Batch, Sigma615543BatchInputs, Sigma615543BatchValueBits},
+		{"2", "sigma2.go", "Sigma2Batch", Sigma2Batch, Sigma2BatchInputs, Sigma2BatchValueBits},
+		{"6.15543", "sigma615543.go", "Sigma615543Batch", Sigma615543Batch, Sigma615543BatchInputs, Sigma615543BatchValueBits},
 	}
 	for _, c := range cases {
 		b, err := core.Build(core.Config{Sigma: c.sigma, N: 128, TailCut: 13, Min: core.MinimizeExact})
 		if err != nil {
 			t.Fatal(err)
+		}
+		checkedIn, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(checkedIn) != b.Program.EmitGoFile("gen", c.name) {
+			t.Fatalf("σ=%s: %s differs from what go generate writes — rerun go generate ./internal/sampler/gen", c.sigma, c.file)
 		}
 		if b.Program.NumInputs != c.numInputs || b.Program.ValueBits != c.valueBits {
 			t.Fatalf("σ=%s: shape drift: rebuild has %d/%d, generated %d/%d — rerun go generate",

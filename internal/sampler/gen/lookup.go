@@ -4,7 +4,8 @@ package gen
 // generator has not emitted one.  All generated circuits use the paper's
 // evaluation configuration (n=128, τ=13, exact minimization); callers must
 // not serve them for any other configuration.  Register new circuits here
-// when cmd/internal/gencircuits gains a configuration.
+// (and in TestGeneratedMatchesInterpreted) when cmd/internal/gencircuits
+// gains a configuration.
 func Lookup(sigma string) (fn func(in, out []uint64), numInputs, valueBits int, ok bool) {
 	switch sigma {
 	case "2":

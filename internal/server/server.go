@@ -354,20 +354,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // this served surface rather than guessing it from flags.
 func (s *Server) Sigmas() []string { return append([]string(nil), s.cfg.Sigmas...) }
 
-// ArbitraryBounds reports the admissible free-form σ range of the
-// convolution layer, or ok=false when the layer is disabled — the other
-// half of the served surface the acceptance sweep must cover.
-func (s *Server) ArbitraryBounds() (min, max float64, ok bool) {
-	if s.arb == nil {
-		return 0, 0, false
-	}
-	min, max = s.arb.Bounds()
-	return min, max, true
-}
-
-// FalconEnabled reports whether the Falcon endpoints are mounted.
-func (s *Server) FalconEnabled() bool { return s.signers != nil }
-
 // Tier returns the hot-key promotion controller, or nil when tiering is
 // disabled.  Exported for tests and the acceptance harness, which force
 // transitions to pin the promoted surface deterministically.
@@ -838,9 +824,9 @@ type healthResponse struct {
 	// Trace reports whether request tracing (X-Ctgauss-Trace, stage
 	// histograms) is enabled on this server.
 	Trace bool `json:"trace"`
-	// Simd is the circuit evaluation backend: which kernel set executes
-	// the bitsliced op stream (portable/avx2/avx512), the backends this
-	// CPU supports, and any CTGAUSS_SIMD override (plus why it was not
+	// Simd is the circuit evaluation backend: which kernel executes the
+	// bitsliced op stream (portable or avx2), the backends this CPU
+	// supports, and any CTGAUSS_SIMD override (plus why it was not
 	// honored, if so).  Every backend evaluates at one width, so it
 	// never changes a stream.
 	Simd dispatch.Info `json:"simd"`

@@ -254,10 +254,6 @@ func (p *Pool) Health() []ShardHealth { return p.eng.Health() }
 // Size returns the shard count.
 func (p *Pool) Size() int { return p.eng.Shards() }
 
-// Sigma returns the pool's σ as its configured decimal spelling — the
-// registry key the serving tiers route and label by.
-func (p *Pool) Sigma() string { return p.art.Key.Sigma }
-
 // BuildInFlight reports, without blocking, whether the process-wide
 // registry is currently resolving cfg's circuit: a pool build for it
 // has started (in this or another goroutine) but not finished.  The
