@@ -30,10 +30,6 @@ type ArbitraryConfig struct {
 	// Workers bounds the build parallelism of a cold base-set
 	// compilation (0 = all CPUs).
 	Workers int
-	// Prefetch is the base-draw refill lookahead per (shard, base
-	// member) stream, as in Config.Prefetch (0 = default, negative =
-	// synchronous).
-	Prefetch int
 }
 
 // ArbitraryPlan describes how one σ is served: the dominating proposal
@@ -67,12 +63,11 @@ type Arbitrary struct {
 // and returns a ready sampler.
 func NewArbitrary(cfg ArbitraryConfig) (*Arbitrary, error) {
 	s, err := convolve.New(convolve.Config{
-		Bases:    cfg.BaseSigmas,
-		Shards:   cfg.Shards,
-		Seed:     cfg.Seed,
-		PRNG:     cfg.PRNG,
-		Workers:  cfg.Workers,
-		Prefetch: cfg.Prefetch,
+		Bases:   cfg.BaseSigmas,
+		Shards:  cfg.Shards,
+		Seed:    cfg.Seed,
+		PRNG:    cfg.PRNG,
+		Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@
 // Falcon signing pools over HTTP: batched draws at /v1/samples (request
 // coalescing over a ctgauss.Pool per σ), /v1/falcon/sign and
 // /v1/falcon/verify on a sharded signer pool, plus /healthz and
-// Prometheus-text /metrics.  See docs/SERVING.md for the API reference.
+// Prometheus-text /metrics.  Every signature's base sampler is the
+// paper's constant-time bitsliced circuit (falcon.BaseBitsliced).  See
+// docs/SERVING.md for the API reference.
 //
 // Usage:
 //
@@ -11,13 +13,9 @@
 //	ctgaussd -seed random                     # non-reproducible production seeds
 //	ctgaussd -prng chacha20                   # pin the generator (default: aes-ctr on AES-NI, else chacha20)
 //	ctgaussd -cache /var/cache/ctgauss        # persist circuits across restarts
-//	ctgaussd -prefetch 4                      # deeper refill lookahead per shard
-//	ctgaussd -prefetch sync                   # inline refills (pre-engine behaviour)
 //	ctgaussd -falcon-n 0                      # sampling only
 //	ctgaussd -arbitrary=false                 # precompiled σ menu only
-//	ctgaussd -arbitrary-bases 2,6.15543       # convolution base set
 //	ctgaussd -tier-promote-rps 5000           # promote hot free-form σ to compiled pools
-//	ctgaussd -falcon-kind convolve            # SamplerZ via the convolution layer
 //	ctgaussd -trace -slow-request 50ms        # stage tracing + slow-request log
 //	ctgaussd -log-format json                 # structured logs for collectors
 //	ctgaussd -debug-addr 127.0.0.1:8755       # pprof/runtime-trace on a private listener
@@ -39,45 +37,44 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"ctgauss/falcon"
 	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/obs"
 	"ctgauss/internal/prng"
 	"ctgauss/internal/server"
 )
 
+// The daemon's settings.  TestFlagSet pins the list: a flag added here
+// changes what every deployment can vary.
+var (
+	addr           = flag.String("addr", ":8754", "listen address")
+	sigmas         = flag.String("sigmas", "2", "comma-separated σ values to serve (first is the default)")
+	shards         = flag.Int("shards", 0, "sampling pool shards per σ (0 = NumCPU)")
+	seed           = flag.String("seed", "", "master seed: hex, 'random' for fresh entropy, empty for the fixed dev seed")
+	prngName       = flag.String("prng", "", "sampling PRNG for σ pools, the arbitrary layer and tier pools: chacha20, shake256, aes-ctr; empty picks aes-ctr when Go's crypto/aes runs on AES instructions (AES-NI, SSE4.1, SSSE3, none turned off by GODEBUG) and chacha20 otherwise, since software AES is not constant time")
+	arbitrary      = flag.Bool("arbitrary", true, "serve free-form (σ, μ) at /v1/arbitrary and free-form σ at /v1/samples")
+	arbShards      = flag.Int("arbitrary-shards", 0, "arbitrary sampler shards (0 = NumCPU)")
+	tierPromoteRPS = flag.Float64("tier-promote-rps", 0, "promote a free-form σ to a compiled pool when its sample rate reaches this (samples/sec over -tier-window; 0 disables tiering)")
+	tierWindow     = flag.Duration("tier-window", 10*time.Second, "sliding window the tier promotion rate is measured over")
+	falconN        = flag.Int("falcon-n", 512, "Falcon ring degree (256/512/1024); 0 disables the Falcon endpoints")
+	falconShards   = flag.Int("falcon-shards", 0, "signer pool shards (0 = NumCPU)")
+	queue          = flag.Int("queue", 256, "per-endpoint admission queue depth (excess load gets 429)")
+	maxCount       = flag.Int("max-count", 65536, "largest per-request sample count")
+	requestTimeout = flag.Duration("request-timeout", 0, "per-request handler deadline (0 = none); a draw stuck behind a restarting shard fails with 503 + Retry-After at the deadline")
+	cacheDir       = flag.String("cache", "", "circuit cache directory (sets CTGAUSS_CACHE_DIR)")
+	drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
+	trace          = flag.Bool("trace", false, "per-request stage tracing: X-Ctgauss-Trace IDs, stage trailers and ctgaussd_stage_seconds histograms")
+	slowRequest    = flag.Duration("slow-request", 0, "log requests slower than this with their stage breakdown (implies -trace; 0 disables)")
+	logFormat      = flag.String("log-format", "text", "log output format: text or json")
+	logLevel       = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
+	debugAddr      = flag.String("debug-addr", "", "separate listener for /debug/pprof (profiles, runtime traces); keep it private — empty disables")
+	version        = flag.Bool("version", false, "print build info and exit")
+)
+
 func main() {
-	addr := flag.String("addr", ":8754", "listen address")
-	sigmas := flag.String("sigmas", "2", "comma-separated σ values to serve (first is the default)")
-	shards := flag.Int("shards", 0, "sampling pool shards per σ (0 = NumCPU)")
-	seed := flag.String("seed", "", "master seed: hex, 'random' for fresh entropy, empty for the fixed dev seed")
-	prngName := flag.String("prng", "", "sampling PRNG for σ pools, the arbitrary layer and tier pools: chacha20, shake256, aes-ctr; empty picks aes-ctr when Go's crypto/aes runs on AES instructions (AES-NI, SSE4.1, SSSE3, none turned off by GODEBUG) and chacha20 otherwise, since software AES is not constant time")
-	prefetch := flag.String("prefetch", "", "refill lookahead per pool shard: a depth (e.g. 4) or 'sync' for inline refills (empty = double buffering)")
-	arbitrary := flag.Bool("arbitrary", true, "serve free-form (σ, μ) at /v1/arbitrary and free-form σ at /v1/samples")
-	arbBases := flag.String("arbitrary-bases", "", "comma-separated base-set σ values for the convolution layer (default 2,6.15543)")
-	arbShards := flag.Int("arbitrary-shards", 0, "arbitrary sampler shards (0 = NumCPU)")
-	tierPromoteRPS := flag.Float64("tier-promote-rps", 0, "promote a free-form σ to a compiled pool when its sample rate reaches this (samples/sec over -tier-window; 0 disables tiering)")
-	tierMaxPools := flag.Int("tier-max-pools", 4, "concurrently promoted compiled pools")
-	tierWindow := flag.Duration("tier-window", 10*time.Second, "sliding window the tier promotion rate is measured over")
-	falconN := flag.Int("falcon-n", 512, "Falcon ring degree (256/512/1024); 0 disables the Falcon endpoints")
-	falconKind := flag.String("falcon-kind", "bitsliced", "base sampler: bitsliced, cdt, bytescan, linear, convolve")
-	falconShards := flag.Int("falcon-shards", 0, "signer pool shards (0 = NumCPU)")
-	queue := flag.Int("queue", 256, "per-endpoint admission queue depth (excess load gets 429)")
-	maxCount := flag.Int("max-count", 65536, "largest per-request sample count")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request handler deadline (0 = none); a draw stuck behind a restarting shard fails with 503 + Retry-After at the deadline")
-	cacheDir := flag.String("cache", "", "circuit cache directory (sets CTGAUSS_CACHE_DIR)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-	trace := flag.Bool("trace", false, "per-request stage tracing: X-Ctgauss-Trace IDs, stage trailers and ctgaussd_stage_seconds histograms")
-	slowRequest := flag.Duration("slow-request", 0, "log requests slower than this with their stage breakdown (implies -trace; 0 disables)")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	debugAddr := flag.String("debug-addr", "", "separate listener for /debug/pprof (profiles, runtime traces); keep it private — empty disables")
-	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 
 	if *version {
@@ -123,33 +120,19 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	kind, err := parseKind(*falconKind)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	prefetchDepth, err := parsePrefetch(*prefetch)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	cfg := server.Config{
 		Sigmas:           splitList(*sigmas),
 		PoolShards:       *shards,
 		Seed:             masterSeed,
 		PRNG:             *prngName,
-		Prefetch:         prefetchDepth,
 		FalconN:          *falconN,
-		FalconKind:       kind,
 		FalconShards:     *falconShards,
 		MaxCount:         *maxCount,
 		QueueDepth:       *queue,
 		RequestTimeout:   *requestTimeout,
 		DisableArbitrary: !*arbitrary,
-		ArbitraryBases:   splitList(*arbBases),
 		ArbitraryShards:  *arbShards,
 		TierPromoteRPS:   *tierPromoteRPS,
-		TierMaxPools:     *tierMaxPools,
 		TierWindow:       *tierWindow,
 		Trace:            *trace,
 		SlowRequest:      *slowRequest,
@@ -172,7 +155,7 @@ func main() {
 	}
 	if s.Tier() != nil {
 		logger.Info("tiering enabled",
-			"promote_rps", *tierPromoteRPS, "window", tierWindow.String(), "max_pools", *tierMaxPools)
+			"promote_rps", *tierPromoteRPS, "window", tierWindow.String(), "max_pools", s.Tier().Stats().MaxPools)
 	}
 	if !reproducible {
 		logger.Info("seed: fresh entropy (streams are not reproducible)")
@@ -290,39 +273,6 @@ func resolveSeed(s string) ([]byte, bool, error) {
 		}
 		return seed, true, nil
 	}
-}
-
-func parseKind(s string) (falcon.BaseSamplerKind, error) {
-	switch s {
-	case "bitsliced":
-		return falcon.BaseBitsliced, nil
-	case "cdt":
-		return falcon.BaseCDT, nil
-	case "bytescan":
-		return falcon.BaseByteScanCDT, nil
-	case "linear":
-		return falcon.BaseLinearCDT, nil
-	case "convolve":
-		return falcon.BaseConvolve, nil
-	}
-	return 0, fmt.Errorf("unknown -falcon-kind %q (want bitsliced, cdt, bytescan, linear or convolve)", s)
-}
-
-// parsePrefetch maps the -prefetch flag to server config: empty keeps
-// the default, "sync" or "0" refills inline, and a positive depth sets
-// the lookahead of every pool.
-func parsePrefetch(s string) (int, error) {
-	switch s = strings.TrimSpace(s); s {
-	case "":
-		return 0, nil
-	case "sync", "0":
-		return -1, nil // 0 refills of lookahead = synchronous
-	}
-	d, err := strconv.Atoi(s)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("-prefetch %q: want a non-negative depth (e.g. 4) or 'sync'", s)
-	}
-	return d, nil
 }
 
 func splitList(s string) []string {

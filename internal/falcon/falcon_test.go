@@ -219,7 +219,7 @@ func TestSignVerifyConvolveKind(t *testing.T) {
 }
 
 // TestSignerPoolConvolveKind: the sharded signing pool must accept the
-// convolution routing too (ctgaussd -falcon-kind convolve).
+// convolution routing too.
 func TestSignerPoolConvolveKind(t *testing.T) {
 	sk := testKey(t, 256)
 	pool, err := NewSignerPool(sk, BaseConvolve, []byte("convolve-pool"), 2)

@@ -253,8 +253,9 @@ func FromContext(ctx context.Context) *Trace {
 	return t
 }
 
-// DefaultSlowLogMinInterval is the slow-request log's default sampling
-// floor: at most one record per this interval.
+// DefaultSlowLogMinInterval is the slow-request log's sampling floor:
+// at most one record per this interval, so an overloaded daemon logs
+// evidence, not a flood.
 const DefaultSlowLogMinInterval = 100 * time.Millisecond
 
 // Config configures an Observer.
@@ -263,13 +264,9 @@ type Config struct {
 	// stages response trailer.
 	Trace bool
 	// SlowRequest, when > 0, emits a structured log record for every
-	// request whose total time meets it (subject to sampling).
-	// Implies Trace.
+	// request whose total time meets it, at most one per
+	// DefaultSlowLogMinInterval.  Implies Trace.
 	SlowRequest time.Duration
-	// SlowLogMinInterval rate-limits slow-request records: at most one
-	// per interval.  0 means DefaultSlowLogMinInterval; negative
-	// disables sampling (every slow request logs).
-	SlowLogMinInterval time.Duration
 	// Logger receives slow-request records.  nil = slog.Default().
 	Logger *slog.Logger
 }
@@ -374,19 +371,13 @@ func (o *Observer) Finish(t *Trace, status int, total time.Duration) {
 }
 
 // admitSlowLog applies the sampling floor: at most one slow-request
-// record per SlowLogMinInterval, decided with a CAS so concurrent slow
-// requests elect exactly one logger.
+// record per DefaultSlowLogMinInterval, decided with a CAS so
+// concurrent slow requests elect exactly one logger.  The first slow
+// request is always admitted.
 func (o *Observer) admitSlowLog() bool {
-	min := o.cfg.SlowLogMinInterval
-	if min < 0 {
-		return true
-	}
-	if min == 0 {
-		min = DefaultSlowLogMinInterval
-	}
 	now := time.Now().UnixNano()
 	last := o.slowLast.Load()
-	return now-last >= int64(min) && o.slowLast.CompareAndSwap(last, now)
+	return now-last >= int64(DefaultSlowLogMinInterval) && o.slowLast.CompareAndSwap(last, now)
 }
 
 func (o *Observer) logSlow(t *Trace, status int, total time.Duration) {

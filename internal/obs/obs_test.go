@@ -166,9 +166,8 @@ func TestSlowLogEmissionAndSampling(t *testing.T) {
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
 	o := New(Config{
-		SlowRequest:        time.Microsecond,
-		SlowLogMinInterval: -1, // no sampling: every slow request logs
-		Logger:             logger,
+		SlowRequest: time.Microsecond,
+		Logger:      logger,
 	}, []string{"samples"})
 	defer o.Close()
 
@@ -204,15 +203,14 @@ func TestSlowLogEmissionAndSampling(t *testing.T) {
 		t.Fatalf("stages_ms missing coalesce: %v", rec["stages_ms"])
 	}
 
-	// With a generous sampling interval, a burst of slow requests
+	// A burst of slow requests, far shorter than the sampling floor,
 	// yields exactly one more record.
 	mu.Lock()
 	buf.Reset()
 	mu.Unlock()
 	o2 := New(Config{
-		SlowRequest:        time.Microsecond,
-		SlowLogMinInterval: time.Hour,
-		Logger:             logger,
+		SlowRequest: time.Microsecond,
+		Logger:      logger,
 	}, []string{"samples"})
 	defer o2.Close()
 	for i := 0; i < 50; i++ {

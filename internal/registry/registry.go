@@ -190,29 +190,6 @@ func (r *Registry) Get(cfg core.Config) (*Artifact, error) {
 	return e.art, e.err
 }
 
-// Inspect reports, without blocking, whether the artifact for cfg is
-// currently being resolved by some goroutine (inFlight) and whether it
-// has already resolved successfully (done).  Both false means nothing
-// has asked for the key (or its last resolution failed and was
-// dropped).  Serving layers use it to introspect background builds —
-// e.g. the tier controller's /healthz "building" detail — without
-// joining the singleflight wait.
-func (r *Registry) Inspect(cfg core.Config) (inFlight, done bool) {
-	key := KeyFor(cfg)
-	r.mu.Lock()
-	e, ok := r.entries[key]
-	r.mu.Unlock()
-	if !ok {
-		return false, false
-	}
-	select {
-	case <-e.ready:
-		return false, e.err == nil
-	default:
-		return true, false
-	}
-}
-
 // Stats returns a snapshot of the hit/miss counters.
 func (r *Registry) Stats() Stats {
 	return Stats{

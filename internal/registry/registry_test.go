@@ -322,47 +322,3 @@ func TestGetSetEmptyAndBadMember(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestInspect pins the non-blocking build introspection the tier
-// controller's /healthz detail rides on: untracked and failed keys read
-// (false, false), resolved keys (false, true), and a key mid-resolution
-// (true, false) — without Inspect ever blocking on the build.
-func TestInspect(t *testing.T) {
-	r := New("")
-	if inFlight, done := r.Inspect(testCfg); inFlight || done {
-		t.Fatalf("untouched key: inFlight=%v done=%v, want false/false", inFlight, done)
-	}
-
-	// A key mid-resolution: install the singleflight slot by hand so the
-	// in-flight arm is deterministic rather than a race against a fast
-	// build.
-	other := testCfg
-	other.Sigma = "4"
-	key := KeyFor(other)
-	e := &entry{ready: make(chan struct{})}
-	r.mu.Lock()
-	r.entries[key] = e
-	r.mu.Unlock()
-	if inFlight, done := r.Inspect(other); !inFlight || done {
-		t.Fatalf("mid-resolution key: inFlight=%v done=%v, want true/false", inFlight, done)
-	}
-	r.mu.Lock()
-	delete(r.entries, key)
-	r.mu.Unlock()
-	close(e.ready)
-
-	if _, err := r.Get(testCfg); err != nil {
-		t.Fatal(err)
-	}
-	if inFlight, done := r.Inspect(testCfg); inFlight || !done {
-		t.Fatalf("resolved key: inFlight=%v done=%v, want false/true", inFlight, done)
-	}
-
-	bad := core.Config{Sigma: "nope", N: 48, TailCut: 13}
-	if _, err := r.Get(bad); err == nil {
-		t.Fatal("expected error for invalid σ")
-	}
-	if inFlight, done := r.Inspect(bad); inFlight || done {
-		t.Fatalf("failed key: inFlight=%v done=%v, want false/false (entry dropped)", inFlight, done)
-	}
-}

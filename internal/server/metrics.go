@@ -294,7 +294,7 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	for _, s := range sigmas {
 		f.rowf(sigLabel(s.sigma), "%d", s.Shards)
 	}
-	f = ps.family("ctgaussd_prefetch_depth", "gauge", "Configured refill lookahead per shard (0 = synchronous refill).")
+	f = ps.family("ctgaussd_prefetch_depth", "gauge", "Refill lookahead per shard (double buffering).")
 	for _, s := range sigmas {
 		f.rowf(sigLabel(s.sigma), "%d", s.Prefetch)
 	}
@@ -383,7 +383,7 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 		ps.family("ctgaussd_tier_builds_failed_total", "counter", "Promotion builds that errored or panicked (key stayed convolved).").rowf("", "%d", arb.table.BuildsFailed)
 		ps.family("ctgaussd_tier_builds_deferred_total", "counter", "Promotion ticks skipped while the base set was degraded.").rowf("", "%d", arb.table.BuildsDeferred)
 		ps.family("ctgaussd_tier_pools", "gauge", "Compiled pools currently held by the tier controller (building + compiled + draining).").rowf("", "%d", arb.table.Pools)
-		ps.family("ctgaussd_tier_pools_max", "gauge", "Configured compiled-pool budget.").rowf("", "%d", arb.table.MaxPools)
+		ps.family("ctgaussd_tier_pools_max", "gauge", "Compiled-pool budget.").rowf("", "%d", arb.table.MaxPools)
 		f = ps.family("ctgaussd_tier_state", "gauge", "Tier state per tracked sigma, any mu (0=convolved, 1=building, 2=compiled, 3=draining).")
 		for _, k := range arb.keys {
 			f.rowf(sigLabel(tier.SigmaString(k.Sigma)), "%d", int32(k.State))

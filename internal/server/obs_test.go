@@ -189,8 +189,7 @@ func (l *lockedSink) String() string {
 func TestSlowRequestLogCarriesTraceID(t *testing.T) {
 	sink := &lockedSink{}
 	_, ts := newTestServer(t, func(c *Config) {
-		c.SlowRequest = time.Nanosecond // every request is "slow"
-		c.SlowLogMinInterval = -1       // no sampling: log them all
+		c.SlowRequest = time.Nanosecond // every request is "slow"; the first always logs
 		c.Logger = slog.New(slog.NewJSONHandler(sink, nil))
 	})
 

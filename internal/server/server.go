@@ -43,21 +43,14 @@ type Config struct {
 	// where crypto/aes runs on AES instructions, "chacha20" otherwise.
 	// Falcon signing keeps its own ChaCha20 streams.
 	PRNG string
-	// Prefetch is the refill lookahead per pool shard on the engine
-	// runtime: 0 = the pool default (double buffering), negative =
-	// synchronous refill under the shard lock, positive = that many
-	// refills of lookahead.  It also applies to the arbitrary layer's
-	// base-draw streams.  Served streams are bit-identical at any
-	// setting.
-	Prefetch int
 
 	// FalconKey, when set, is the signing key served by the Falcon
 	// endpoints.  Otherwise a key is generated deterministically from
-	// FalconN and FalconSeed; FalconN = 0 disables the Falcon endpoints.
+	// FalconN and Seed; FalconN = 0 disables the Falcon endpoints.
+	// Every signature samples through the paper's constant-time
+	// bitsliced base (falcon.BaseBitsliced).
 	FalconKey    *falcon.PrivateKey
 	FalconN      int
-	FalconSeed   []byte
-	FalconKind   falcon.BaseSamplerKind
 	FalconShards int // signer pool shard count (0 = NumCPU)
 
 	// MaxCount caps the per-request sample count (default 65536); larger
@@ -78,10 +71,6 @@ type Config struct {
 	// /v1/samples.  By default the layer is on, so the daemon serves the
 	// whole admissible σ range from one compiled base set.
 	DisableArbitrary bool
-	// ArbitraryBases overrides the convolution base set (default
-	// {"2", "6.15543"}); its members are built in parallel at startup,
-	// one registry entry each.
-	ArbitraryBases []string
 	// ArbitraryShards is the arbitrary sampler's shard count (0 =
 	// NumCPU).
 	ArbitraryShards int
@@ -98,9 +87,6 @@ type Config struct {
 	// TierWindow is the sliding-window length rates are measured over
 	// (default 10s); promotions are evaluated every quarter window.
 	TierWindow time.Duration
-	// TierMaxPools bounds concurrently promoted compiled pools
-	// (default 4).
-	TierMaxPools int
 
 	// Trace enables end-to-end request tracing: every request gets an
 	// X-Ctgauss-Trace ID, per-stage timings flow into the
@@ -111,11 +97,9 @@ type Config struct {
 	Trace bool
 	// SlowRequest, when > 0, emits a structured slow-request record
 	// (log/slog) for requests slower than this, with the stage
-	// breakdown and trace ID.  Implies Trace.
+	// breakdown and trace ID, at most one per
+	// obs.DefaultSlowLogMinInterval.  Implies Trace.
 	SlowRequest time.Duration
-	// SlowLogMinInterval rate-limits slow-request records: at most one
-	// per interval (0 = 100ms default; negative = log every one).
-	SlowLogMinInterval time.Duration
 	// Logger receives the server's structured events: slow-request
 	// records and tier-transition lines.  nil = slog.Default().
 	Logger *slog.Logger
@@ -189,7 +173,7 @@ func promotedSeed(master []byte, sigma string, n uint64) []byte {
 	return h.Sum(nil)
 }
 
-// falconPoolSeed mirrors PoolSeed for the signing pool.
+// falconPoolSeed mirrors PoolSeed for the Falcon key and signing pool.
 func falconPoolSeed(master []byte) []byte {
 	h := sha256.New()
 	h.Write([]byte("ctgauss/server/falcon"))
@@ -207,8 +191,12 @@ func ArbitrarySeed(master []byte) []byte {
 	return h.Sum(nil)
 }
 
-// New builds every pool in cfg and returns a ready Server.
-func New(cfg Config) (*Server, error) {
+// New builds every pool in cfg and returns a ready Server.  Each
+// mechanism runs its one default: the engine's double-buffered refill
+// lookahead, the convolution layer's base set {2, 6.15543} and the
+// tier's 4-pool budget.  When a step fails, New closes what the earlier
+// steps built before it returns the error.
+func New(cfg Config) (_ *Server, err error) {
 	if len(cfg.Sigmas) == 0 {
 		return nil, fmt.Errorf("server: config needs at least one sigma")
 	}
@@ -235,24 +223,29 @@ func New(cfg Config) (*Server, error) {
 		pools:        make(map[string]*ctgauss.Pool),
 		m:            newMetrics(endpoints),
 		obs: obs.New(obs.Config{
-			Trace:              cfg.Trace,
-			SlowRequest:        cfg.SlowRequest,
-			SlowLogMinInterval: cfg.SlowLogMinInterval,
-			Logger:             logger,
+			Trace:       cfg.Trace,
+			SlowRequest: cfg.SlowRequest,
+			Logger:      logger,
 		}, endpoints),
 		logger: logger,
 		queues: make(map[string]chan struct{}),
 		start:  time.Now(),
 	}
+	// Pool producers and the tracing gate are process-wide: a failed
+	// New must not leave them running.
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
 	for _, sigma := range cfg.Sigmas {
 		if _, dup := s.pools[sigma]; dup {
 			return nil, fmt.Errorf("server: sigma %q listed twice", sigma)
 		}
 		pool, err := ctgauss.NewPoolWithConfig(ctgauss.Config{
-			Sigma:    sigma,
-			Seed:     PoolSeed(cfg.Seed, sigma),
-			PRNG:     cfg.PRNG,
-			Prefetch: cfg.Prefetch,
+			Sigma: sigma,
+			Seed:  PoolSeed(cfg.Seed, sigma),
+			PRNG:  cfg.PRNG,
 		}, cfg.PoolShards)
 		if err != nil {
 			return nil, fmt.Errorf("server: building σ=%s pool: %w", sigma, err)
@@ -262,11 +255,9 @@ func New(cfg Config) (*Server, error) {
 
 	if !cfg.DisableArbitrary {
 		arb, err := ctgauss.NewArbitrary(ctgauss.ArbitraryConfig{
-			BaseSigmas: cfg.ArbitraryBases,
-			Shards:     cfg.ArbitraryShards,
-			Seed:       ArbitrarySeed(cfg.Seed),
-			PRNG:       cfg.PRNG,
-			Prefetch:   cfg.Prefetch,
+			Shards: cfg.ArbitraryShards,
+			Seed:   ArbitrarySeed(cfg.Seed),
+			PRNG:   cfg.PRNG,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: building arbitrary base set: %w", err)
@@ -279,13 +270,11 @@ func New(cfg Config) (*Server, error) {
 		tc, err := tier.New(tier.Config{
 			PromoteRPS: cfg.TierPromoteRPS,
 			Window:     cfg.TierWindow,
-			MaxPools:   cfg.TierMaxPools,
 			Build: func(sigma string) (tier.Pool, error) {
 				return ctgauss.NewPoolWithConfig(ctgauss.Config{
-					Sigma:    sigma,
-					Seed:     promotedSeed(cfg.Seed, sigma, builds.Add(1)-1),
-					PRNG:     cfg.PRNG,
-					Prefetch: cfg.Prefetch,
+					Sigma: sigma,
+					Seed:  promotedSeed(cfg.Seed, sigma, builds.Add(1)-1),
+					PRNG:  cfg.PRNG,
 				}, cfg.PoolShards)
 			},
 			Degraded: arb.Degraded,
@@ -303,22 +292,13 @@ func New(cfg Config) (*Server, error) {
 
 	sk := cfg.FalconKey
 	if sk == nil && cfg.FalconN != 0 {
-		seed := cfg.FalconSeed
-		if seed == nil {
-			seed = falconPoolSeed(cfg.Seed)
-		}
-		var err error
-		sk, err = falcon.Keygen(cfg.FalconN, seed)
+		sk, err = falcon.Keygen(cfg.FalconN, falconPoolSeed(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("server: falcon keygen: %w", err)
 		}
 	}
 	if sk != nil {
-		signSeed := cfg.FalconSeed
-		if signSeed == nil {
-			signSeed = falconPoolSeed(cfg.Seed)
-		}
-		pool, err := falcon.NewSignerPool(sk, cfg.FalconKind, signSeed, cfg.FalconShards)
+		pool, err := falcon.NewSignerPool(sk, falcon.BaseBitsliced, falconPoolSeed(cfg.Seed), cfg.FalconShards)
 		if err != nil {
 			return nil, fmt.Errorf("server: falcon signer pool: %w", err)
 		}
@@ -837,8 +817,8 @@ type healthResponse struct {
 	Sigmas       []string `json:"sigmas"`
 	DefaultSigma string   `json:"default_sigma"`
 	PoolShards   int      `json:"pool_shards"`
-	// Prefetch is the default-σ pool's resolved refill lookahead depth
-	// (0 = synchronous refill).
+	// Prefetch is the refill lookahead depth the default-σ pool's
+	// engine runs: ctgauss.DefaultPrefetch, double buffering.
 	Prefetch int `json:"prefetch"`
 	// Pools lists per-shard fault-isolation state for every serving pool
 	// (σ pools plus, when enabled, the arbitrary layer under sigma
@@ -867,11 +847,6 @@ type tierKeyHealthJSON struct {
 	RatePerSec float64 `json:"rate_per_sec"`
 	// Samples is the lifetime observed sample count for this σ.
 	Samples uint64 `json:"samples"`
-	// BuildResolving is set for building keys whose circuit resolution is
-	// currently in flight in the process-wide registry (as opposed to a
-	// build queued behind the registry's singleflight or finishing pool
-	// assembly).
-	BuildResolving bool `json:"build_resolving,omitempty"`
 }
 
 // tierHealthJSON is the /healthz tier block.
@@ -951,16 +926,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			BuildsDeferred: tst.BuildsDeferred,
 		}
 		for _, k := range s.tier.Snapshot() {
-			kh := tierKeyHealthJSON{
+			th.Keys = append(th.Keys, tierKeyHealthJSON{
 				Sigma:      k.Sigma,
 				State:      k.State.String(),
 				RatePerSec: k.Rate,
 				Samples:    k.Samples,
-			}
-			if k.State == tier.Building {
-				kh.BuildResolving = ctgauss.BuildInFlight(ctgauss.Config{Sigma: tier.SigmaString(k.Sigma)})
-			}
-			th.Keys = append(th.Keys, kh)
+			})
 		}
 		resp.Tier = th
 	}

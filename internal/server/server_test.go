@@ -17,6 +17,7 @@ import (
 	"ctgauss"
 	"ctgauss/falcon"
 	"ctgauss/internal/ctcheck"
+	"ctgauss/internal/obs"
 )
 
 // testFalconKey generates the shared falcon-256 test key once per
@@ -47,7 +48,6 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 		PoolShards:   1,
 		Seed:         []byte("server-test-seed"),
 		FalconKey:    testFalconKey(t),
-		FalconSeed:   []byte("server-test-sign-seed"),
 		FalconShards: 2,
 	}
 	if mutate != nil {
@@ -148,6 +148,53 @@ func TestSamplesBitIdenticalToDirectPool(t *testing.T) {
 	for i, v := range served {
 		if v != want[i] {
 			t.Fatalf("sample %d: served %d, direct pool %d", i, v, want[i])
+		}
+	}
+}
+
+// TestSignaturesBitIdenticalToDirectPool pins the daemon's signer: its
+// one base sampler kind, BaseBitsliced, and its seed derivation.  Each
+// sequential /v1/falcon/sign response equals, byte for byte, what a
+// direct falcon.SignerPool with the same key, kind, derived seed and
+// shard count signs for the same message.
+func TestSignaturesBitIdenticalToDirectPool(t *testing.T) {
+	seed := []byte("determinism-seed")
+	key := testFalconKey(t)
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Seed = seed
+		c.DisableArbitrary = true
+	})
+	direct, err := falcon.NewSignerPool(key, falcon.BaseBitsliced, falconPoolSeed(seed), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	for i := 0; i < 6; i++ {
+		msg := []byte(fmt.Sprintf("served signature %d", i))
+		resp, body := postJSONT(t, ts.URL+"/v1/falcon/sign",
+			signRequest{Message: base64.StdEncoding.EncodeToString(msg)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sign %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var sr signResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		sig, err := direct.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := base64.StdEncoding.DecodeString(sr.Signature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sig.Encode(); !bytes.Equal(served, want) {
+			at := 0
+			for at < min(len(served), len(want)) && served[at] == want[at] {
+				at++
+			}
+			t.Fatalf("signature %d: served %d bytes, direct pool %d; first difference at byte %d", i, len(served), len(want), at)
 		}
 	}
 }
@@ -1043,10 +1090,46 @@ func TestServerCloseReleasesEngines(t *testing.T) {
 	}
 }
 
+// TestNewReleasesOnError pins New's cleanup: when a step fails after
+// earlier steps built pools, the arbitrary layer or a tracing Observer,
+// New closes them, so no producer goroutine outlives the failed New and
+// the process-wide tracing gate is released.
+func TestNewReleasesOnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bad second sigma", Config{Sigmas: []string{"2", "nope"}, PoolShards: 4}},
+		{"bad falcon degree", Config{Sigmas: []string{"2"}, PoolShards: 4, ArbitraryShards: 2, FalconN: 3}},
+		{"traced duplicate sigma", Config{Sigmas: []string{"2", "2"}, PoolShards: 2, Trace: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if obs.TraceEnabled() {
+				t.Fatal("tracing gate held before New")
+			}
+			before := runtime.NumGoroutine()
+			if s, err := New(tc.cfg); err == nil {
+				s.Close()
+				t.Fatal("New succeeded, want an error")
+			}
+			if obs.TraceEnabled() {
+				t.Error("tracing gate still held after a failed New")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines alive after a failed New, started with %d", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestPrefetchMetricsAndLoadReconcile pins the prefetch telemetry: the
-// per-σ hit/miss counters appear in /metrics, reconcile into the load
-// generator's report, and the synchronous configuration reports a zero
-// hit ratio ceiling on cold draws while the async default warms up.
+// per-σ hit/miss counters appear in /metrics and reconcile into the load
+// generator's report, and /metrics and /healthz report the depth the
+// engine runs.
 func TestPrefetchMetricsAndLoadReconcile(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.FalconKey = nil
@@ -1074,27 +1157,12 @@ func TestPrefetchMetricsAndLoadReconcile(t *testing.T) {
 	if scrapeMetric(t, ts.URL, `ctgaussd_prefetch_depth{sigma="2"}`) != float64(ctgauss.DefaultPrefetch) {
 		t.Fatal("default prefetch depth not exposed")
 	}
+	if hr := getHealth(t, ts.URL); hr.Prefetch != ctgauss.DefaultPrefetch {
+		t.Fatalf("healthz prefetch = %d, want %d", hr.Prefetch, ctgauss.DefaultPrefetch)
+	}
 	produced := scrapeMetric(t, ts.URL, `ctgaussd_refills_produced_total{sigma="2"}`)
 	started := scrapeMetric(t, ts.URL, `ctgaussd_refills_total{sigma="2"}`)
 	if produced < started {
 		t.Fatalf("produced %v < started %v", produced, started)
-	}
-
-	// Synchronous config: depth 0 exposed, every cold draw is a miss.
-	_, tsSync := newTestServer(t, func(c *Config) {
-		c.FalconKey = nil
-		c.FalconN = 0
-		c.Prefetch = -1
-	})
-	drawSamples(t, tsSync.URL, 64)
-	if v := scrapeMetric(t, tsSync.URL, `ctgaussd_prefetch_depth{sigma="2"}`); v != 0 {
-		t.Fatalf("sync prefetch depth = %v, want 0", v)
-	}
-	if v := scrapeMetric(t, tsSync.URL, `ctgaussd_prefetch_misses_total{sigma="2"}`); v == 0 {
-		t.Fatal("sync pool recorded no inline-fill misses")
-	}
-	hr := getHealth(t, tsSync.URL)
-	if hr.Prefetch != 0 {
-		t.Fatalf("healthz prefetch = %d, want 0 for sync", hr.Prefetch)
 	}
 }

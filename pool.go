@@ -254,23 +254,6 @@ func (p *Pool) Health() []ShardHealth { return p.eng.Health() }
 // Size returns the shard count.
 func (p *Pool) Size() int { return p.eng.Shards() }
 
-// BuildInFlight reports, without blocking, whether the process-wide
-// registry is currently resolving cfg's circuit: a pool build for it
-// has started (in this or another goroutine) but not finished.  The
-// serving layer's tier controller uses it to distinguish a promotion
-// stuck in exact minimization from one about to install — surfaced per
-// key on /healthz.
-func BuildInFlight(cfg Config) bool {
-	cfg = cfg.normalize()
-	inFlight, _ := registry.Shared().Inspect(core.Config{
-		Sigma:   cfg.Sigma,
-		N:       cfg.Precision,
-		TailCut: cfg.TailCut,
-		Min:     cfg.Minimizer,
-	})
-	return inFlight
-}
-
 // bitsPerRefill is the randomness cost of one shard refill: width
 // batches of (NumInputs+1)×64 bits each.
 func (p *Pool) bitsPerRefill() uint64 {
